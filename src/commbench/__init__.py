@@ -6,7 +6,6 @@ scores recovered partitions against the planted ones.
 """
 
 from .graph import (
-    Dendrogram,
     Graph,
     Partition,
     WeightedGraph,
@@ -30,7 +29,7 @@ from .metrics import (
     pearson,
 )
 from .lfr import LfrConfig, PlantedNetwork, generate, mu_limit
-from .algorithms import ALGORITHMS, AlgoParams, ConvergenceWarning, best_cut
+from .algorithms import ALGORITHMS, AlgoParams, ConvergenceWarning
 from .harness import RunRecord, SweepSpec, run_sweep, summarize
 
 __version__ = "0.1.0"

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..graph import Dendrogram, Graph, Partition
-from ..metrics import modularity
-
 
 class ConvergenceWarning(UserWarning):
     """An iterative stage hit its cap before reaching its stopping rule."""
@@ -54,26 +51,6 @@ class AlgoParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def best_cut(dendrogram: Dendrogram, graph) -> Partition:
-    """Level of maximal modularity; ties go to fewer communities, then to
-    the lowest level index. Scores are taken from the dendrogram when
-    present, otherwise computed from the graph."""
-    if not dendrogram.levels:
-        raise ValueError("empty dendrogram")
-    scores = dendrogram.level_scores
-    if scores is None or any(s is None for s in scores):
-        scores = [modularity(graph, level) for level in dendrogram.levels]
-    best_idx = 0
-    for idx in range(1, len(dendrogram.levels)):
-        better = scores[idx] > scores[best_idx]
-        if not better and scores[idx] == scores[best_idx]:
-            cur, best = dendrogram.levels[idx], dendrogram.levels[best_idx]
-            better = cur.num_communities < best.num_communities
-        if better:
-            best_idx = idx
-    return dendrogram.levels[best_idx]
-
-
 from .divisive import radetal  # noqa: E402
 from .information import infomap  # noqa: E402
 from .modularity_opt import fastgreedy, louvain, spinglass  # noqa: E402
@@ -98,7 +75,6 @@ __all__ = [
     "ALGORITHMS",
     "AlgoParams",
     "ConvergenceWarning",
-    "best_cut",
     "fastgreedy",
     "infomap",
     "label_propagation",

@@ -15,23 +15,27 @@ import random
 
 import numpy as np
 
-from ..graph import Graph, Partition, quotient_graph
-from .modularity_opt import _weighted_view
+from ..graph import Graph, Partition
+from .modularity_opt import _aggregate_levels
 
 
 def _plogp(x):
     return x * math.log(x) if x > 0.0 else 0.0
 
 
-def _module_state(adj, self_w, strength, comm, count):
+def _module_state(graph, comm, count):
     p_mod = [0.0] * count
     w_out = [0.0] * count
     for v, c in enumerate(comm):
-        p_mod[c] += strength[v]
-        for u, wt in adj[v]:
+        p_mod[c] += graph.strength(v)
+        for u, wt in graph.neighbors(v):
             if comm[u] != c:
                 w_out[c] += wt
     return p_mod, w_out
+
+
+def _node_term(graph, two_w):
+    return sum(_plogp(graph.strength(v) / two_w) for v in range(graph.node_count))
 
 
 def _length_from_state(p_mod, w_out, two_w, node_term):
@@ -44,21 +48,24 @@ def _length_from_state(p_mod, w_out, two_w, node_term):
 
 
 def description_length(graph, partition: Partition) -> float:
-    """Two-level description length (nats) of the walk under a partition."""
-    adj, self_w, strength, two_w = _weighted_view(graph)
+    """Two-level description length (nats) of the walk under a partition
+    of a Graph or WeightedGraph."""
+    graph = graph.weighted()
+    two_w = graph.total_strength
     if two_w <= 0:
         raise ValueError("needs at least one edge")
-    comm = list(partition.membership)
-    p_mod, w_out = _module_state(adj, self_w, strength, comm, partition.num_communities)
-    node_term = sum(_plogp(s / two_w) for s in strength)
-    return _length_from_state(p_mod, w_out, two_w, node_term)
+    p_mod, w_out = _module_state(graph, partition.membership, partition.num_communities)
+    return _length_from_state(p_mod, w_out, two_w, _node_term(graph, two_w))
 
 
 def _map_local_pass(graph, rng):
     """Sweep-until-stable local moves minimizing description length on one
-    aggregation level. Returns (labels, moved_any)."""
-    adj, self_w, strength, two_w = _weighted_view(graph)
+    aggregation level, a WeightedGraph. Returns (labels, moved_any)."""
     n = graph.node_count
+    adj = [graph.neighbors(v) for v in range(n)]
+    self_w = graph.self_loops
+    strength = [graph.strength(v) for v in range(n)]
+    two_w = graph.total_strength
     comm = list(range(n))
     p_mod = list(strength)
     w_out = [strength[v] - self_w[v] for v in range(n)]
@@ -125,17 +132,18 @@ def _map_local_pass(graph, rng):
 
 def _anneal_refine(graph, labels, params):
     """Metropolis refinement of module assignments at the original-node
-    level; returns the best labeling encountered."""
-    adj, self_w, strength, two_w = _weighted_view(graph)
+    level, a WeightedGraph; returns the best labeling encountered."""
     n = graph.node_count
+    adj = [graph.neighbors(v) for v in range(n)]
+    self_w = graph.self_loops
+    strength = [graph.strength(v) for v in range(n)]
+    two_w = graph.total_strength
     rng = random.Random(params.seed + 0x5EED)
     part = Partition.from_labels(labels)
     comm = list(part.membership)
-    count = part.num_communities
-    p_mod, w_out = _module_state(adj, self_w, strength, comm, count)
+    p_mod, w_out = _module_state(graph, comm, part.num_communities)
     q_tot = sum(w_out)
-    node_term = sum(_plogp(s / two_w) for s in strength)
-    length = _length_from_state(p_mod, w_out, two_w, node_term)
+    length = _length_from_state(p_mod, w_out, two_w, _node_term(graph, two_w))
     best_length = length
     best = list(comm)
 
@@ -193,22 +201,12 @@ def infomap(graph: Graph, params) -> Partition:
         raise ValueError("needs at least one edge")
     params.validate()
     rng = np.random.default_rng(params.seed)
-    n = graph.node_count
-    member = list(range(n))
-    level = graph
-    while True:
-        labels, moved = _map_local_pass(level, rng)
-        if not moved:
-            break
-        part = Partition.from_labels(labels)
-        member = [part.membership[member[v]] for v in range(n)]
-        if part.num_communities == level.node_count:
-            break
-        level = quotient_graph(level, part)
+    base = graph.weighted()
+    member = _aggregate_levels(base, _map_local_pass, rng)
     if params.infomap_anneal:
-        member = _anneal_refine(graph, member, params)
+        member = _anneal_refine(base, member, params)
     result = Partition.from_labels(member)
-    all_in_one = Partition([0] * n)
-    if description_length(graph, all_in_one) < description_length(graph, result):
+    all_in_one = Partition([0] * graph.node_count)
+    if description_length(base, all_in_one) < description_length(base, result):
         return all_in_one
     return result

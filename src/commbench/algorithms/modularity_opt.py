@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from ..graph import Graph, Partition, WeightedGraph, quotient_graph
+from ..graph import Graph, Partition, quotient_graph
 from ..metrics import modularity
 
 
@@ -19,20 +19,77 @@ def _require_edges(graph):
         raise ValueError("needs at least one edge")
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+class _Agglomeration:
+    """Pairwise merging of adjacent communities from singletons, tracking
+    modularity to return the best level; the caller's heap and pair score
+    choose which pair to merge next.
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    A community is named by one of its nodes. Heap entries end with
+    (lo, hi, stamp[lo], stamp[hi]); each merge bumps both members'
+    stamps, so an entry is current exactly while neither community has
+    changed since it was pushed. An instance runs once.
+    """
 
-    def union(self, keep, absorb):
-        self.parent[self.find(absorb)] = self.find(keep)
+    def __init__(self, graph):
+        n = graph.node_count
+        self.m = graph.edge_count
+        self.two_m2 = 2.0 * self.m * self.m
+        #: community -> {adjacent community: summed edge weight}
+        self.links = [dict.fromkeys(graph.neighbors(v), 1.0) for v in range(n)]
+        self.degree = [float(d) for d in graph.degrees()]
+
+    def delta_q(self, a, b):
+        """Modularity change from merging adjacent communities a and b."""
+        return self.links[a][b] / self.m - self.degree[a] * self.degree[b] / self.two_m2
+
+    def run(self, heap, score, merged=None) -> Partition:
+        """Merge the pair of each current entry popped from `heap`, the
+        community with more neighbours surviving; call merged(survivor,
+        absorbed), then push score(survivor, x) + (lo, hi, stamps) for
+        each neighbour x, in neighbour-dict order. Returns the level of
+        maximal modularity, later levels winning ties."""
+        n = len(self.links)
+        links, degree = self.links, self.degree
+        stamp = [0] * n
+        q = -sum(d * d for d in degree) / (4.0 * self.m * self.m)
+        best_q = q
+        merges = []
+        best_merges = 0
+        heapq.heapify(heap)
+        while heap:
+            lo, hi, stamp_lo, stamp_hi = heapq.heappop(heap)[-4:]
+            if stamp[lo] != stamp_lo or stamp[hi] != stamp_hi:
+                continue
+            a, b = (hi, lo) if len(links[hi]) > len(links[lo]) else (lo, hi)
+            q += self.delta_q(a, b)
+            merges.append((a, b))
+            wa, wb = links[a], links[b]
+            links[b] = None
+            for nbr, weight in wb.items():
+                if nbr == a:
+                    continue
+                wa[nbr] = wa.get(nbr, 0.0) + weight
+                wn = links[nbr]
+                del wn[b]
+                wn[a] = wa[nbr]
+            del wa[b]
+            degree[a] += degree[b]
+            stamp[a] += 1
+            stamp[b] += 1
+            if q >= best_q:
+                best_q = q
+                best_merges = len(merges)
+            if merged is not None:
+                merged(a, b)
+            for nbr in wa:
+                lo, hi = (a, nbr) if a < nbr else (nbr, a)
+                heapq.heappush(heap, score(a, nbr) + (lo, hi, stamp[lo], stamp[hi]))
+        # Backwards, each survivor already holds its final root when the
+        # community it absorbed copies it.
+        root = list(range(n))
+        for a, b in reversed(merges[:best_merges]):
+            root[b] = root[a]
+        return Partition.from_labels(root)
 
 
 def fastgreedy(graph: Graph) -> Partition:
@@ -44,87 +101,19 @@ def fastgreedy(graph: Graph) -> Partition:
     deterministic without a seed.
     """
     _require_edges(graph)
-    n = graph.node_count
-    m = graph.edge_count
-    two_m2 = 2.0 * m * m
-
-    deg = graph.degrees()
-    d = {v: float(deg[v]) for v in range(n)}
-    w = {v: {} for v in range(n)}
-    for u, v in graph.edges:
-        w[u][v] = w[u].get(v, 0.0) + 1.0
-        w[v][u] = w[v].get(u, 0.0) + 1.0
-
-    stamp = [0] * n
-    heap = []
-    for u, v in graph.edges:
-        dq = w[u][v] / m - d[u] * d[v] / two_m2
-        heapq.heappush(heap, (-dq, u, v, 0, 0))
-
-    q = -sum(x * x for x in d.values()) / (4.0 * m * m)  # singleton level
-    best_q = q
-    best_count = n
-    best_merges = 0
-    merges = []
-
-    while heap:
-        neg_dq, a, b, sa, sb = heapq.heappop(heap)
-        if a not in w or b not in w or stamp[a] != sa or stamp[b] != sb:
-            continue
-        # Merge b into a (a keeps its id).
-        if len(w[b]) > len(w[a]):
-            a, b = b, a
-        q += -neg_dq
-        merges.append((a, b))
-        wb = w.pop(b)
-        wa = w[a]
-        for nbr, weight in wb.items():
-            if nbr == a:
-                continue
-            wa[nbr] = wa.get(nbr, 0.0) + weight
-            wn = w[nbr]
-            del wn[b]
-            wn[a] = wa[nbr]
-        wa.pop(b, None)
-        d[a] += d.pop(b)
-        stamp[a] += 1
-        stamp[b] += 1
-        da = d[a]
-        sa = stamp[a]
-        for nbr, weight in wa.items():
-            dq = weight / m - da * d[nbr] / two_m2
-            lo, hi = (a, nbr) if a < nbr else (nbr, a)
-            heapq.heappush(heap, (-dq, lo, hi, stamp[lo], stamp[hi]))
-        # Later levels win ties: equal Q with fewer communities.
-        if q >= best_q:
-            best_q = q
-            best_count = n - len(merges)
-            best_merges = len(merges)
-
-    uf = _UnionFind(n)
-    for a, b in merges[:best_merges]:
-        uf.union(a, b)
-    return Partition.from_labels([uf.find(v) for v in range(n)])
-
-
-def _weighted_view(graph):
-    """Adjacency with weights plus self-loop array for either graph kind."""
-    n = graph.node_count
-    if isinstance(graph, WeightedGraph):
-        adj = [list(graph.neighbors(v)) for v in range(n)]
-        self_w = list(graph.self_loops)
-    else:
-        adj = [[(u, 1.0) for u in graph.neighbors(v)] for v in range(n)]
-        self_w = [0.0] * n
-    strength = [self_w[v] + sum(wt for _, wt in adj[v]) for v in range(n)]
-    return adj, self_w, strength, sum(strength)
+    agg = _Agglomeration(graph)
+    delta_q = agg.delta_q
+    heap = [(-delta_q(u, v), u, v, 0, 0) for u, v in graph.edges]
+    return agg.run(heap, lambda a, x: (-delta_q(a, x),))
 
 
 def _local_moving_pass(graph, rng):
-    """One seeded sweep-until-stable phase of greedy modularity moves.
-    Returns (membership labels, moved_any)."""
-    adj, _self_w, strength, two_w = _weighted_view(graph)
+    """One seeded sweep-until-stable phase of greedy modularity moves on a
+    WeightedGraph. Returns (membership labels, moved_any)."""
     n = graph.node_count
+    adj = [graph.neighbors(v) for v in range(n)]
+    strength = [graph.strength(v) for v in range(n)]
+    two_w = graph.total_strength
     comm = list(range(n))
     sigma_tot = list(strength)
     moved_any = False
@@ -163,23 +152,31 @@ def _local_moving_pass(graph, rng):
     return comm, moved_any
 
 
+def _aggregate_levels(level, local_pass, rng):
+    """Run `local_pass(level, rng) -> (labels, moved_any)` on the
+    WeightedGraph `level`, then on the quotient graph of each pass's
+    communities, until a pass moves nothing or merges nothing. Returns the
+    community label of each node of the first level."""
+    n = level.node_count
+    member = list(range(n))
+    while True:
+        labels, moved = local_pass(level, rng)
+        if not moved:
+            break
+        part = Partition.from_labels(labels)
+        member = [part.membership[member[v]] for v in range(n)]
+        if part.num_communities == level.node_count:
+            break
+        level = quotient_graph(level, part)
+    return member
+
+
 def louvain(graph: Graph, params) -> Partition:
     """Two-phase agglomeration: seeded greedy local moves, then recursion on
     the community quotient graph, until a pass yields no improvement."""
     _require_edges(graph)
     rng = np.random.default_rng(params.seed)
-    member = list(range(graph.node_count))
-    level = graph
-    while True:
-        labels, moved = _local_moving_pass(level, rng)
-        if not moved:
-            break
-        part = Partition.from_labels(labels)
-        member = [part.membership[member[v]] for v in range(graph.node_count)]
-        if part.num_communities == level.node_count:
-            break
-        level = quotient_graph(level, part)
-    return Partition.from_labels(member)
+    return Partition.from_labels(_aggregate_levels(graph.weighted(), _local_moving_pass, rng))
 
 
 def spinglass(graph: Graph, params) -> Partition:

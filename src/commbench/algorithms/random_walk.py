@@ -4,7 +4,6 @@ expansion/inflation diffusion process.
 
 from __future__ import annotations
 
-import heapq
 import random
 import warnings
 
@@ -14,7 +13,7 @@ from scipy.sparse.csgraph import connected_components as _cc
 
 from ..graph import Graph, Partition
 from . import ConvergenceWarning
-from .modularity_opt import _UnionFind
+from .modularity_opt import _Agglomeration
 
 
 def walktrap(graph: Graph, params) -> Partition:
@@ -31,7 +30,6 @@ def walktrap(graph: Graph, params) -> Partition:
     params.validate()
     rng = random.Random(params.seed)
     n = graph.node_count
-    m = graph.edge_count
     deg = np.asarray(graph.degrees(), dtype=float)
     inv_d = np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
 
@@ -46,93 +44,40 @@ def walktrap(graph: Graph, params) -> Partition:
     # Community state, indexed by representative node id. `profile` rows
     # are reused in place as per-community probability sums.
     size = [1] * n
-    dsum = deg.copy()
-    w = {v: {} for v in range(n)}
-    for u, v in graph.edges:
-        w[u][v] = w[u].get(v, 0.0) + 1.0
-        w[v][u] = w[v].get(u, 0.0) + 1.0
 
     def direct_sigma(a, b):
         diff = profile[a] / size[a] - profile[b] / size[b]
         return size[a] * size[b] / (size[a] + size[b]) * float(diff @ (diff * inv_d)) / n
 
-    stamp = [0] * n
     sigma = {}
     heap = []
     for u, v in graph.edges:
-        key = (u, v)
         sig = direct_sigma(u, v)
-        sigma[key] = sig
-        heapq.heappush(heap, (sig, rng.random(), u, v, 0, 0))
+        sigma[(u, v)] = sig
+        heap.append((sig, rng.random(), u, v, 0, 0))
+    last = None  # (absorbed, size_a, size_b, sigma_ab) of the latest merge
 
-    q = -float(np.sum(deg * deg)) / (4.0 * m * m)
-    best_q = q
-    best_merges = 0
-    merges = []
-    two_m2 = 2.0 * m * m
-
-    while heap:
-        sig, _, a, b, sa, sb = heapq.heappop(heap)
-        if a not in w or b not in w or stamp[a] != sa or stamp[b] != sb:
-            continue
-        key = (a, b) if a < b else (b, a)
-        if sigma.get(key) != sig:
-            continue
-        if len(w[b]) > len(w[a]):
-            a, b = b, a
-        q += w[a][b] / m - dsum[a] * dsum[b] / two_m2
-        merges.append((a, b))
-        size_a, size_b = size[a], size[b]
-        sigma_ab = sigma.pop((a, b) if a < b else (b, a))
-
-        wb = w.pop(b)
-        wa = w[a]
-        old_ax = {}
-        old_bx = {}
-        for nbr in wa:
-            k = (a, nbr) if a < nbr else (nbr, a)
-            old_ax[nbr] = sigma.pop(k, None)
-        for nbr, weight in wb.items():
-            if nbr == a:
-                continue
-            k = (b, nbr) if b < nbr else (nbr, b)
-            old_bx[nbr] = sigma.pop(k, None)
-            wa[nbr] = wa.get(nbr, 0.0) + weight
-            wn = w[nbr]
-            del wn[b]
-            wn[a] = wa[nbr]
-        wa.pop(b, None)
-
+    def merged(a, b):
+        nonlocal last
+        last = (b, size[a], size[b], sigma.pop((a, b) if a < b else (b, a)))
         profile[a] += profile[b]
-        size[a] = size_a + size_b
-        dsum[a] += dsum[b]
-        stamp[a] += 1
-        stamp[b] += 1
+        size[a] += size[b]
 
-        for nbr in wa:
-            s_ax = old_ax.get(nbr)
-            s_bx = old_bx.get(nbr)
-            if s_ax is not None and s_bx is not None:
-                # Ward update from the three previous increases.
-                s_new = (
-                    (size_a + size[nbr]) * s_ax
-                    + (size_b + size[nbr]) * s_bx
-                    - size[nbr] * sigma_ab
-                ) / (size_a + size_b + size[nbr])
-            else:
-                s_new = direct_sigma(a, nbr)
-            k = (a, nbr) if a < nbr else (nbr, a)
-            sigma[k] = s_new
-            heapq.heappush(heap, (s_new, rng.random(), k[0], k[1], stamp[k[0]], stamp[k[1]]))
+    def score(a, x):
+        b, size_a, size_b, sigma_ab = last
+        s_ax = sigma.pop((a, x) if a < x else (x, a), None)
+        s_bx = sigma.pop((b, x) if b < x else (x, b), None)
+        if s_ax is not None and s_bx is not None:
+            # Ward update from the three previous increases.
+            s_new = (
+                (size_a + size[x]) * s_ax + (size_b + size[x]) * s_bx - size[x] * sigma_ab
+            ) / (size_a + size_b + size[x])
+        else:
+            s_new = direct_sigma(a, x)
+        sigma[(a, x) if a < x else (x, a)] = s_new
+        return s_new, rng.random()
 
-        if q >= best_q:
-            best_q = q
-            best_merges = len(merges)
-
-    uf = _UnionFind(n)
-    for a, b in merges[:best_merges]:
-        uf.union(a, b)
-    return Partition.from_labels([uf.find(v) for v in range(n)])
+    return _Agglomeration(graph).run(heap, score, merged)
 
 
 def markov_cluster(graph: Graph, params) -> Partition:

@@ -7,8 +7,8 @@ import argparse
 import json
 import sys
 import time
+import typing
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 from .algorithms import ALGORITHMS, AlgoParams
@@ -25,23 +25,8 @@ from .harness import (
 from .lfr import LfrConfig, generate
 from .metrics import measured_mixing, modularity, partition_nmi
 
-#: CLI flag name (without --) -> AlgoParams field
-_PARAM_FLAGS = {
-    "walktrap-t": "walktrap_t",
-    "mcl-expansion": "mcl_expansion",
-    "mcl-inflation": "mcl_inflation",
-    "mcl-prune-threshold": "mcl_prune_threshold",
-    "mcl-convergence-epsilon": "mcl_convergence_epsilon",
-    "mcl-max-iterations": "mcl_max_iterations",
-    "spinglass-max-spins": "spinglass_max_spins",
-    "sa-initial-temperature": "sa_initial_temperature",
-    "sa-cooling-factor": "sa_cooling_factor",
-    "sa-sweeps-per-temperature": "sa_sweeps_per_temperature",
-    "sa-min-temperature": "sa_min_temperature",
-    "eigen-tolerance": "eigen_tolerance",
-    "eigen-max-iterations": "eigen_max_iterations",
-    "lp-max-rounds": "lp_max_rounds",
-}
+#: AlgoParams field -> type; `detect` takes each as --field-name
+_PARAM_TYPES = typing.get_type_hints(AlgoParams)
 
 
 def _build_parser():
@@ -70,12 +55,12 @@ def _build_parser():
     det.add_argument("--edges", required=True)
     det.add_argument("--node-count", type=int)
     det.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
-    det.add_argument("--seed", type=int, default=0)
-    det.add_argument("--infomap-anneal", action="store_true")
-    for flag, field_name in _PARAM_FLAGS.items():
-        kind = AlgoParams.__dataclass_fields__[field_name].type
-        caster = int if kind == "int" else float
-        det.add_argument(f"--{flag}", type=caster)
+    for name, kind in _PARAM_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            det.add_argument(flag, action="store_true")
+        else:
+            det.add_argument(flag, type=kind)
     det.add_argument("--out", required=True, help="membership output path")
 
     sco = sub.add_parser("score", help="score an estimated partition against the actual one")
@@ -151,12 +136,9 @@ def _cmd_generate(args):
 
 def _cmd_detect(args):
     graph = read_edge_list(args.edges, node_count=args.node_count)
-    overrides = {"seed": args.seed, "infomap_anneal": args.infomap_anneal}
-    for flag, field_name in _PARAM_FLAGS.items():
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            overrides[field_name] = value
-    params = replace(AlgoParams(), **overrides)
+    params = AlgoParams(**{
+        name: getattr(args, name) for name in _PARAM_TYPES if getattr(args, name) is not None
+    })
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("default")

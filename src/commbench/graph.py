@@ -1,4 +1,5 @@
-"""Undirected simple graphs, node partitions, and partition hierarchies.
+"""Undirected simple graphs, weighted community-level graphs, and node
+partitions.
 
 Node ids are dense integers 0..n-1; external labels must be mapped at the
 I/O boundary. Graphs and partitions are immutable after construction and
@@ -17,7 +18,7 @@ class Graph:
     sorted so iteration order never depends on construction order.
     """
 
-    __slots__ = ("_n", "_edges", "_edge_set", "_adj", "_adj_sets")
+    __slots__ = ("_n", "_edges", "_adj")
 
     def __init__(self, node_count, edges):
         if node_count < 1:
@@ -36,7 +37,6 @@ class Graph:
             if canon[i] == canon[i - 1]:
                 raise ValueError(f"duplicate edge {canon[i]}")
         self._edges = canon
-        self._edge_set = set(canon)
         adj = [[] for _ in range(self._n)]
         for u, v in canon:
             adj[u].append(v)
@@ -44,7 +44,6 @@ class Graph:
         for lst in adj:
             lst.sort()
         self._adj = adj
-        self._adj_sets = [set(lst) for lst in adj]
 
     @property
     def node_count(self):
@@ -72,18 +71,19 @@ class Graph:
             raise ValueError(f"node {node} out of range for n={self._n}")
         return self._adj[node]
 
-    def neighbor_set(self, node):
-        return self._adj_sets[node]
-
-    def has_edge(self, u, v):
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+    def weighted(self):
+        """This graph as a WeightedGraph with unit edge weights and no
+        self-loops."""
+        return WeightedGraph(self._n, dict.fromkeys(self._edges, 1.0), [0.0] * self._n)
 
     def __repr__(self):
         return f"Graph(n={self._n}, m={len(self._edges)})"
 
 
 class WeightedGraph:
-    """Community-level graph with self-loop weights, used by quotient graphs.
+    """Graph with edge and self-loop weights: the aggregation levels of the
+    local-moving detectors, from a Graph's unit-weight lift up through its
+    quotient graphs.
 
     A self-loop of weight s contributes s to its node's strength, so the
     quotient of a graph with 2m stub ends conserves total strength 2m.
@@ -102,8 +102,9 @@ class WeightedGraph:
         for (u, v), w in sorted(cross_weights.items()):
             if u == v or not (0 <= u < v < self._n):
                 raise ValueError(f"bad cross-weight key ({u},{v})")
-            adj[u].append((v, float(w)))
-            adj[v].append((u, float(w)))
+            w = float(w)
+            adj[u].append((v, w))
+            adj[v].append((u, w))
         self._adj = adj
         self._strength = [
             self._self_loops[v] + sum(w for _, w in adj[v]) for v in range(self._n)
@@ -128,6 +129,10 @@ class WeightedGraph:
     def total_strength(self):
         """Sum of node strengths; equals 2m for a unit-weight quotient."""
         return sum(self._strength)
+
+    def weighted(self):
+        """Itself, so either graph kind can be lifted the same way."""
+        return self
 
     def __repr__(self):
         return f"WeightedGraph(n={self._n})"
@@ -201,31 +206,6 @@ class Partition:
         return f"Partition(n={len(self._membership)}, c={len(self._sizes)})"
 
 
-class Dendrogram:
-    """Ordered hierarchy of partitions from agglomerative merges or
-    divisive splits, with per-level modularity."""
-
-    __slots__ = ("levels", "level_scores", "direction")
-
-    def __init__(self, levels, level_scores, direction):
-        if direction not in ("agglomerative", "divisive"):
-            raise ValueError(f"unknown direction {direction!r}")
-        levels = list(levels)
-        if level_scores is not None:
-            level_scores = list(level_scores)
-            if len(levels) != len(level_scores):
-                raise ValueError("levels and level_scores length mismatch")
-        n = levels[0].node_count if levels else 0
-        if any(p.node_count != n for p in levels):
-            raise ValueError("all levels must partition the same node set")
-        self.levels = levels
-        self.level_scores = level_scores
-        self.direction = direction
-
-    def __len__(self):
-        return len(self.levels)
-
-
 def degree(graph, node):
     """Number of neighbors of `node`."""
     return graph.degree(node)
@@ -233,12 +213,10 @@ def degree(graph, node):
 
 def edge_triangle_count(graph, u, v):
     """Number of triangles containing the edge {u, v} (= common neighbors)."""
-    if not graph.has_edge(u, v):
+    around_u = set(graph.neighbors(u))
+    if v not in around_u:
         raise ValueError(f"({u},{v}) is not an edge")
-    a, b = graph.neighbor_set(u), graph.neighbor_set(v)
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(1 for w in a if w in b)
+    return len(around_u.intersection(graph.neighbors(v)))
 
 
 def connected_components(graph) -> Partition:
@@ -262,41 +240,31 @@ def connected_components(graph) -> Partition:
 
 
 def quotient_graph(graph, partition) -> WeightedGraph:
-    """Collapse communities to single nodes.
+    """Collapse communities to single nodes of a Graph or WeightedGraph.
 
     Self-loop weights are twice the intra-community edge weight and
     inter-community weights are the summed cross weights, so node strengths
     (and their total) are conserved.
     """
+    if partition.node_count != graph.node_count:
+        raise ValueError("partition does not cover the graph's node set")
+    graph = graph.weighted()
     c = partition.num_communities
     member = partition.membership
     self_loops = [0.0] * c
     cross = {}
-    if isinstance(graph, WeightedGraph):
-        if partition.node_count != graph.node_count:
-            raise ValueError("partition does not cover the graph's node set")
-        for v in range(graph.node_count):
-            cv = member[v]
-            self_loops[cv] += graph.self_loops[v]
-            for w, wt in graph.neighbors(v):
-                if w < v:
-                    continue
-                cw = member[w]
-                if cv == cw:
-                    self_loops[cv] += 2.0 * wt
-                else:
-                    key = (cv, cw) if cv < cw else (cw, cv)
-                    cross[key] = cross.get(key, 0.0) + wt
-    else:
-        if partition.node_count != graph.node_count:
-            raise ValueError("partition does not cover the graph's node set")
-        for u, v in graph.edges:
-            cu, cv = member[u], member[v]
-            if cu == cv:
-                self_loops[cu] += 2.0
+    for v in range(graph.node_count):
+        cv = member[v]
+        self_loops[cv] += graph.self_loops[v]
+        for w, wt in graph.neighbors(v):
+            if w < v:
+                continue
+            cw = member[w]
+            if cv == cw:
+                self_loops[cv] += 2.0 * wt
             else:
-                key = (cu, cv) if cu < cv else (cv, cu)
-                cross[key] = cross.get(key, 0.0) + 1.0
+                key = (cv, cw) if cv < cw else (cw, cv)
+                cross[key] = cross.get(key, 0.0) + wt
     return WeightedGraph(c, cross, self_loops)
 
 

@@ -12,8 +12,9 @@ import hashlib
 import json
 import math
 import time
+import typing
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -21,43 +22,6 @@ from .algorithms import ALGORITHMS, AlgoParams, ConvergenceWarning
 from .graph import write_edge_list, write_membership
 from .lfr import LfrConfig, MixingToleranceWarning, generate
 from .metrics import modularity, partition_nmi, pearson
-
-#: records.csv column order (stable contract).
-RECORD_COLUMNS = (
-    "algorithm",
-    "n",
-    "avg_degree",
-    "max_degree",
-    "gamma",
-    "beta",
-    "mu_target",
-    "mu_realized",
-    "mu_limit",
-    "replicate",
-    "seed",
-    "nmi",
-    "modularity",
-    "communities_found",
-    "communities_planted",
-    "runtime_ms",
-    "flags",
-)
-
-SUMMARY_COLUMNS = (
-    "algorithm",
-    "n",
-    "avg_degree",
-    "max_degree",
-    "gamma",
-    "beta",
-    "mu_target",
-    "runs",
-    "mean_nmi",
-    "std_nmi",
-    "mean_runtime_ms",
-    "mean_mu_realized",
-    "mean_mu_limit",
-)
 
 SWEEP_PARAMETERS = ("mu", "n", "avg_degree", "gamma", "beta")
 
@@ -218,11 +182,9 @@ class RunRecord:
     flags: str
 
     def __post_init__(self):
-        for name in (
-            "avg_degree", "gamma", "beta", "mu_target", "mu_realized",
-            "mu_limit", "nmi", "modularity", "runtime_ms",
-        ):
-            object.__setattr__(self, name, _sig6(getattr(self, name)))
+        for name, kind in _RECORD_FIELDS.items():
+            if kind is float:
+                object.__setattr__(self, name, _sig6(getattr(self, name)))
 
     def sort_key(self):
         return (
@@ -235,6 +197,11 @@ class RunRecord:
             f"n={self.n},k={self.avg_degree:g},kmax={self.max_degree},"
             f"gamma={self.gamma:g},beta={self.beta:g},mu={self.mu_target:g}"
         )
+
+
+#: records.csv column -> type, in column order (stable contract).
+_RECORD_FIELDS = typing.get_type_hints(RunRecord)
+RECORD_COLUMNS = tuple(_RECORD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -254,6 +221,9 @@ class CellSummary:
     mean_runtime_ms: float
     mean_mu_realized: float
     mean_mu_limit: float
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in fields(CellSummary))
 
 
 @dataclass(frozen=True)
@@ -358,13 +328,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1, artifact_dir=None) -> SweepOutc
         for cell in spec.cells()
         for replicate in range(spec.replicates)
     ]
-    outcomes = []
+    # Largest networks first, one unit per task, so no worker is left with
+    # a long unit after the others run dry.
+    units.sort(key=lambda unit: -unit[1].n * unit[1].avg_degree)
     if workers <= 1:
-        for unit in units:
-            outcomes.append(_run_unit(unit))
+        outcomes = [_run_unit(unit) for unit in units]
     else:
         with Pool(processes=workers) as pool:
-            outcomes = pool.map(_run_unit, units)
+            outcomes = pool.map(_run_unit, units, chunksize=1)
     result = SweepOutcome(records=[])
     for outcome in outcomes:
         result.records.extend(outcome.records)
@@ -466,27 +437,6 @@ def emit_csv(records, summaries, out_dir):
     return records_path, summary_path
 
 
-_RECORD_TYPES = {
-    "algorithm": str,
-    "n": int,
-    "avg_degree": float,
-    "max_degree": int,
-    "gamma": float,
-    "beta": float,
-    "mu_target": float,
-    "mu_realized": float,
-    "mu_limit": float,
-    "replicate": int,
-    "seed": int,
-    "nmi": float,
-    "modularity": float,
-    "communities_found": int,
-    "communities_planted": int,
-    "runtime_ms": float,
-    "flags": str,
-}
-
-
 def parse_records_csv(path) -> list:
     """Inverse of the records.csv writer."""
     records = []
@@ -500,7 +450,7 @@ def parse_records_csv(path) -> list:
                 continue
             parts = line.split(",")
             kwargs = {
-                col: _RECORD_TYPES[col](value)
+                col: _RECORD_FIELDS[col](value)
                 for col, value in zip(RECORD_COLUMNS, parts)
             }
             records.append(RunRecord(**kwargs))

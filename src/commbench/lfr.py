@@ -287,6 +287,33 @@ def internal_stub_count(degree, mu):
     return int((1.0 - mu) * degree + 0.5)
 
 
+def _fit_shortfall(int_deg, sizes):
+    """Why no placement of nodes into communities of these sizes gives
+    every node a community larger than its internal degree, or None if
+    one exists.
+
+    The communities a node fits in are nested by its internal degree, so
+    Hall's condition reduces to one check per threshold t:
+    #{v : int_deg(v) >= t} <= sum{s : s > t}. Checking each distinct
+    int_deg value suffices; the largest failing t is named.
+    """
+    needs = sorted(int_deg, reverse=True)
+    sizes = sorted(sizes, reverse=True)
+    room = i = 0
+    for count, t in enumerate(needs, 1):
+        if count < len(needs) and needs[count] == t:
+            continue
+        while i < len(sizes) and sizes[i] > t:
+            room += sizes[i]
+            i += 1
+        if count > room:
+            return (
+                f"at t={t}, {count} nodes need a community larger than t, but "
+                f"communities larger than t hold only {room} nodes"
+            )
+    return None
+
+
 def assign_communities(degrees, sizes, mu, rng) -> Partition:
     """Place nodes into communities of the given sizes so that every node's
     internal stubs fit strictly inside its community.
@@ -299,13 +326,9 @@ def assign_communities(degrees, sizes, mu, rng) -> Partition:
         raise ValueError(f"sizes sum to {sum(sizes)}, expected n={n}")
     c = len(sizes)
     int_deg = [internal_stub_count(d, mu) for d in degrees]
-    largest = max(sizes)
-    for v, idg in enumerate(int_deg):
-        if idg >= largest:
-            raise ValueError(
-                f"node {v} needs a community larger than {idg}, but the "
-                f"largest community has size {largest}"
-            )
+    shortfall = _fit_shortfall(int_deg, sizes)
+    if shortfall:
+        raise ValueError(shortfall)
     # Communities ordered by size so each node draws uniformly among the
     # ones it fits in (same conditional distribution as retry-until-fit,
     # without burning the budget on rejected draws).
@@ -544,10 +567,12 @@ def generate(config: LfrConfig) -> PlantedNetwork:
     resolved = config.with_resolved_bounds(min(degrees))
     resolved.validate()
     sizes = sample_community_sizes(resolved, rng)
-    # The bounds guarantee a large-enough community is *allowed*; make sure
-    # one was actually drawn, resampling (then adjusting) if not.
-    need = max(internal_stub_count(d, resolved.mu) for d in degrees) + 1
-    if max(sizes) < need:
+    # The bounds guarantee a large-enough community is *allowed* for each
+    # node; make sure the drawn sizes can host all of them at once,
+    # resampling (then growing the largest community) if not.
+    int_deg = [internal_stub_count(d, resolved.mu) for d in degrees]
+    if _fit_shortfall(int_deg, sizes):
+        need = max(int_deg) + 1
         if need > resolved.max_community:
             raise ValueError(
                 f"highest-degree node needs a community of {need}, above "
@@ -555,10 +580,14 @@ def generate(config: LfrConfig) -> PlantedNetwork:
             )
         for _ in range(50):
             sizes = sample_community_sizes(resolved, rng)
-            if max(sizes) >= need:
+            if not _fit_shortfall(int_deg, sizes):
                 break
         else:
-            sizes = _grow_largest(sizes, need, resolved.min_community)
+            if max(sizes) < need:
+                sizes = _grow_largest(sizes, need, resolved.min_community)
+            shortfall = _fit_shortfall(int_deg, sizes)
+            if shortfall:
+                raise ValueError(f"community sizes cannot host every node: {shortfall}")
     skeleton = configuration_model(degrees, rng)
     planted = assign_communities(degrees, sizes, resolved.mu, rng)
     graph = rewire_to_mixing(skeleton, planted, resolved, rng)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, Partition, WeightedGraph
+from .graph import Graph, Partition
 
 
 class ConfusionMatrix:
@@ -89,30 +89,12 @@ def partition_nmi(actual: Partition, estimated: Partition) -> float:
     return nmi(confusion(actual, estimated))
 
 
-def modularity(graph, partition: Partition) -> float:
-    """Newman-Girvan modularity Q = sum_c [l_c/m - (d_c/2m)^2].
-
-    Accepts a plain Graph or a WeightedGraph (quotient graphs with
-    self-loops), in which case edge counts generalize to weights.
-    """
+def modularity(graph: Graph, partition: Partition) -> float:
+    """Newman-Girvan modularity Q = sum_c [l_c/m - (d_c/2m)^2]."""
     if partition.node_count != graph.node_count:
         raise ValueError("partition does not cover the graph's node set")
     member = np.asarray(partition.membership)
     c = partition.num_communities
-    if isinstance(graph, WeightedGraph):
-        two_w = graph.total_strength
-        if two_w <= 0:
-            raise ValueError("modularity undefined on a weightless graph")
-        internal2 = np.zeros(c)
-        strength = np.zeros(c)
-        for v in range(graph.node_count):
-            cv = member[v]
-            internal2[cv] += graph.self_loops[v]
-            strength[cv] += graph.strength(v)
-            for w, wt in graph.neighbors(v):
-                if w > v and member[w] == cv:
-                    internal2[cv] += 2.0 * wt
-        return float(np.sum(internal2 / two_w - (strength / two_w) ** 2))
     m = graph.edge_count
     if m == 0:
         raise ValueError("modularity undefined on an edgeless graph")

@@ -59,6 +59,19 @@ def modularity_direct(graph, partition):
     return q
 
 
+def singleton_modularity_direct(weighted):
+    """Q of the all-singletons partition of a weighted graph (a quotient),
+    from its self-loop weights and node strengths: each node's inside
+    weight is its self-loop, and its expected share is its strength over
+    the total."""
+    strengths = [weighted.strength(v) for v in range(weighted.node_count)]
+    total = sum(strengths)
+    q = 0.0
+    for loop, strength in zip(weighted.self_loops, strengths):
+        q += loop / total - (strength / total) ** 2
+    return q
+
+
 def all_partitions(n):
     """Every set partition of range(n) as a membership list (restricted
     growth strings), Bell(n) of them."""

@@ -8,7 +8,6 @@ from commbench.algorithms import (
     ALGORITHMS,
     AlgoParams,
     ConvergenceWarning,
-    best_cut,
     fastgreedy,
     infomap,
     label_propagation,
@@ -21,7 +20,7 @@ from commbench.algorithms import (
 )
 from commbench.algorithms.information import description_length
 from commbench.algorithms.random_walk import _column_normalize, _prune
-from commbench.graph import Dendrogram, Graph, Partition, edge_triangle_count
+from commbench.graph import Graph, Partition, edge_triangle_count
 from commbench.metrics import modularity, partition_nmi
 
 from conftest import clique_edges, make_clique_pair, make_ring_of_triangles
@@ -287,35 +286,6 @@ class TestLabelPropagation:
         g = make_clique_pair(3, bridged=True)
         with pytest.warns(ConvergenceWarning):
             label_propagation(g, AlgoParams(seed=0, lp_max_rounds=0))
-
-
-class TestBestCut:
-    def test_single_level(self, triangle):
-        dendro = Dendrogram([Partition([0, 0, 0])], None, "agglomerative")
-        assert best_cut(dendro, triangle) == Partition([0, 0, 0])
-
-    def test_two_clique_dendrogram(self, two_triangles):
-        levels = [
-            Partition([0, 1, 2, 3, 4, 5]),
-            Partition([0, 0, 0, 1, 1, 1]),
-            Partition([0, 0, 0, 0, 0, 0]),
-        ]
-        dendro = Dendrogram(levels, None, "agglomerative")
-        assert best_cut(dendro, two_triangles) == levels[1]
-
-    def test_all_equal_scores_pick_fewest_communities(self, triangle):
-        levels = [
-            Partition([0, 1, 2]),
-            Partition([0, 0, 1]),
-            Partition([0, 1, 1]),
-        ]
-        dendro = Dendrogram(levels, [0.25, 0.25, 0.25], "divisive")
-        got = best_cut(dendro, triangle)
-        assert got == levels[1]  # 2 communities beat 3; index 1 beats index 2
-
-    def test_empty_dendrogram_errors(self, triangle):
-        with pytest.raises(ValueError, match="empty"):
-            best_cut(Dendrogram([], None, "divisive"), triangle)
 
 
 class TestCrossCutting:

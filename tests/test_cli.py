@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from commbench.algorithms import ALGORITHMS, AlgoParams
 from commbench.cli import main
-from commbench.graph import read_edge_list, read_membership
+from commbench.graph import Partition, read_edge_list, read_membership
 
 
 @pytest.fixture
@@ -52,6 +54,34 @@ class TestDetectCommand:
             "--algorithm", "walktrap", "--walktrap-t", "3", "--out", str(out),
         ])
         assert rc == 0
+
+
+    def test_every_algo_param_has_a_typed_flag(self, generated, tmp_path, monkeypatch):
+        seen = []
+
+        def record(graph, params):
+            seen.append(params)
+            return Partition([0] * graph.node_count)
+
+        monkeypatch.setitem(ALGORITHMS, "louvain", record)
+        argv = [
+            "detect", "--edges", f"{generated}.edges", "--node-count", "120",
+            "--algorithm", "louvain", "--out", str(tmp_path / "p.membership"),
+        ]
+        expected = {}
+        for f in dataclasses.fields(AlgoParams):
+            flag = "--" + f.name.replace("_", "-")
+            if isinstance(f.default, bool):
+                expected[f.name] = not f.default
+                argv.append(flag)
+            else:
+                expected[f.name] = type(f.default)(f.default + 1)
+                argv += [flag, str(expected[f.name])]
+        assert main(argv) == 0
+        (params,) = seen
+        assert params == AlgoParams(**expected)
+        for name, value in expected.items():
+            assert type(getattr(params, name)) is type(value), name
 
 
 class TestScoreCommand:

@@ -5,6 +5,7 @@ import pytest
 
 from commbench.algorithms import AlgoParams, louvain
 from commbench.graph import Partition
+from commbench.harness import derive_seed
 from commbench.lfr import (
     LfrConfig,
     MixingToleranceWarning,
@@ -191,6 +192,11 @@ class TestAssignCommunities:
         with pytest.raises(ValueError, match="larger than"):
             assign_communities([9, 1, 1, 1], [2, 2], 0.0, np.random.default_rng(0))
 
+    def test_too_little_room_errors_at_once(self):
+        # Each node fits the largest community, but three cannot share it.
+        with pytest.raises(ValueError, match="at t=1, 3 nodes"):
+            assign_communities([1, 1, 1], [2, 1], 0.0, np.random.default_rng(0))
+
 
 class TestRewireToMixing:
     def test_already_at_target_returns_same_graph(self, bridged_triangles):
@@ -270,6 +276,21 @@ class TestGenerate:
         lo, hi = net.config.min_community, net.config.max_community
         assert all(lo <= s <= hi for s in net.planted.community_sizes)
         assert sum(net.planted.community_sizes) == 5000
+        for v, cid in enumerate(net.planted.membership):
+            assert (
+                internal_stub_count(net.graph.degree(v), config.mu)
+                < net.planted.community_sizes[cid]
+            )
+
+    def test_unhostable_size_draw_is_resampled(self):
+        # The first size draw of this sweep unit cannot host every node at
+        # once (935 nodes need a community above 11, which hold only 912).
+        seed = derive_seed(202, "n=1000,k=30,kmax=90,gamma=2,beta=2,mu=0.3", 1)
+        config = LfrConfig(
+            n=1000, avg_degree=30, max_degree=90, gamma=2.0, beta=2.0, mu=0.3,
+            seed=seed, allow_mu_beyond_limit=True,
+        )
+        net = generate(config)
         for v, cid in enumerate(net.planted.membership):
             assert (
                 internal_stub_count(net.graph.degree(v), config.mu)

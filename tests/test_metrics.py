@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commbench.graph import Graph, Partition, quotient_graph
+from commbench.lfr import LfrConfig, generate
 from commbench.metrics import (
     ConfusionMatrix,
     confusion,
@@ -16,7 +17,13 @@ from commbench.metrics import (
     pearson,
 )
 
-from oracles import all_partitions, confusion_direct, modularity_direct, nmi_direct
+from oracles import (
+    all_partitions,
+    confusion_direct,
+    modularity_direct,
+    nmi_direct,
+    singleton_modularity_direct,
+)
 
 memberships = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(
@@ -159,10 +166,48 @@ class TestModularity:
     def test_weighted_quotient_agrees(self, bridged_triangles):
         part = Partition([0, 0, 0, 1, 1, 1])
         q = quotient_graph(bridged_triangles, part)
-        singleton = Partition(range(q.node_count))
-        assert modularity(q, singleton) == pytest.approx(
+        assert singleton_modularity_direct(q) == pytest.approx(
             modularity(bridged_triangles, part), abs=1e-12
         )
+
+    def test_quotients_keep_modularity(self):
+        # A quotient's singletons score the partition it collapsed, and so
+        # does the quotient of a quotient under the composed partition.
+        rng = random.Random(17)
+        for _ in range(20):
+            n = rng.randrange(2, 15)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+            if not edges:
+                continue
+            g = Graph(n, edges)
+            fine = Partition.from_labels([rng.randrange(5) for _ in range(n)])
+            q = quotient_graph(g, fine)
+            assert singleton_modularity_direct(q) == pytest.approx(
+                modularity(g, fine), abs=1e-12
+            )
+            coarse = Partition.from_labels([rng.randrange(2) for _ in range(q.node_count)])
+            composed = Partition([coarse.membership[c] for c in fine.membership])
+            assert singleton_modularity_direct(quotient_graph(q, coarse)) == pytest.approx(
+                modularity(g, composed), abs=1e-12
+            )
+
+    def test_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(5)
+        for seed, mu in ((1, 0.2), (2, 0.5)):
+            net = generate(LfrConfig(
+                n=300, avg_degree=10, max_degree=30, gamma=2.5, beta=1.5, mu=mu, seed=seed,
+            ))
+            nx_graph = nx.Graph(net.graph.edges)
+            nx_graph.add_nodes_from(range(net.graph.node_count))
+            parts = [net.planted, Partition([0] * net.graph.node_count)]
+            parts += [
+                Partition.from_labels([rng.randrange(k) for _ in range(net.graph.node_count)])
+                for k in (2, 7, 40)
+            ]
+            for part in parts:
+                expected = nx.community.modularity(nx_graph, [set(c) for c in part.communities()])
+                assert modularity(net.graph, part) == pytest.approx(expected, abs=1e-12)
 
 
 class TestMeasuredMixing:
