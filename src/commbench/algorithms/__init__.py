@@ -31,8 +31,8 @@ class AlgoParams:
     sa_cooling_factor: float = 0.99
     sa_sweeps_per_temperature: int = 1
     sa_min_temperature: float = 0.01
-    eigen_tolerance: float = 1e-8
-    eigen_max_iterations: int = 20000
+    eigen_tolerance: float = 1e-8  # ARPACK's `tol` (leading_eigenvector)
+    eigen_max_iterations: int = 20000  # ARPACK's `maxiter`: Lanczos restarts
     lp_max_rounds: int = 100
     infomap_anneal: bool = False
     seed: int = 0
@@ -40,6 +40,8 @@ class AlgoParams:
     def validate(self):
         if self.walktrap_t < 1:
             raise ValueError("walktrap_t must be >= 1")
+        if self.eigen_max_iterations < 1:
+            raise ValueError("eigen_max_iterations must be >= 1")
         if self.mcl_expansion < 2 or int(self.mcl_expansion) != self.mcl_expansion:
             raise ValueError("mcl_expansion must be an integer >= 2")
         if self.mcl_inflation <= 1.0:

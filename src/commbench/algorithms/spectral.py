@@ -1,9 +1,12 @@
-"""Spectral bisection on the modularity matrix.
+"""Spectral bisection on the modularity matrix (Newman, physics/0602124).
 
-The dominant eigenvector of the (generalized, for subdivisions) modularity
-matrix B with entries A_uv - d_u*d_v/2m is found by power iteration after a
-diagonal shift that makes the algebraically largest eigenvalue dominant;
-splits are accepted only when they strictly increase modularity.
+Each group g of nodes is split by the signs of the eigenvector belonging to
+the algebraically largest eigenvalue of its generalized modularity matrix
+B_ij - δ_ij Σ_{k∈g} B_ik, where B_ij = A_ij - d_i*d_j/2m. Groups larger than
+_DENSE_MAX_SIZE are solved by Lanczos (ARPACK's eigsh) on a sparse
+matrix-vector product, smaller ones by a dense eigendecomposition. A group
+stays whole when the eigenvalue is not positive, when the split does not
+strictly increase modularity, or when ARPACK does not converge.
 """
 
 from __future__ import annotations
@@ -12,30 +15,19 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ..graph import Graph, Partition
 from . import ConvergenceWarning
 
-
-def _shift_bound(sub, d_g, row_within, two_m):
-    """Max absolute row sum of the generalized modularity matrix for the
-    subgroup, computed in O(edges) from the sparse structure."""
-    d_total = d_g.sum()
-    # Off-diagonal |B_ij| summed as if no edges, then corrected per edge.
-    off = d_g * (d_total - d_g) / two_m
-    coo = sub.tocoo()
-    p = d_g[coo.row] * d_g[coo.col] / two_m
-    corr = np.abs(1.0 - p) - p
-    np.add.at(off, coo.row, corr)
-    row_adjust = row_within - d_g * d_total / two_m
-    diag = np.abs(-d_g * d_g / two_m - row_adjust)
-    return float(np.max(off + diag))
+#: Groups up to this size are solved densely; ARPACK gains nothing on them.
+_DENSE_MAX_SIZE = 64
 
 
 def leading_eigenvector(graph: Graph, params) -> Partition:
-    """Recursive sign-split on the dominant modularity-matrix eigenvector;
+    """Recursive sign-split on the leading modularity-matrix eigenvector;
     indivisible groups (non-positive leading eigenvalue, non-positive
-    modularity gain, or non-converged iteration) become communities."""
+    modularity gain, or non-converged eigensolver) become communities."""
     if graph.edge_count == 0:
         raise ValueError("needs at least one edge")
     params.validate()
@@ -43,12 +35,10 @@ def leading_eigenvector(graph: Graph, params) -> Partition:
     n = graph.node_count
     two_m = 2.0 * graph.edge_count
     deg = np.asarray(graph.degrees(), dtype=float)
-    rows, cols = [], []
-    for u, v in graph.edges:
-        rows += [u, v]
-        cols += [v, u]
+    u, v = np.asarray(graph.edges).T
     adjacency = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n)
+        (np.ones(2 * len(u)), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(n, n),
     )
 
     labels = np.full(n, -1, dtype=int)
@@ -67,56 +57,58 @@ def leading_eigenvector(graph: Graph, params) -> Partition:
     return Partition.from_labels(labels.tolist())
 
 
+class _GroupMatrix:
+    """The generalized modularity matrix of one group; its rows sum to zero,
+    so it annihilates constant vectors."""
+
+    def __init__(self, adjacency, deg, two_m, group):
+        self.sub = adjacency[group][:, group]
+        self.d = deg[group]
+        self.two_m = two_m
+        self.row_sums = np.asarray(self.sub.sum(axis=1)).ravel() - self.d * self.d.sum() / two_m
+
+    def matvec(self, x):
+        return self.sub @ x - self.d * (self.d @ x) / self.two_m - self.row_sums * x
+
+    def leading_eigenpair(self, v0, params):
+        """(λ, x) for the algebraically largest eigenvalue λ, with `v0` as
+        the Lanczos start; raises ArpackNoConvergence past the budget."""
+        size = len(self.d)
+        if size <= _DENSE_MAX_SIZE:
+            dense = self.sub.toarray() - np.outer(self.d, self.d) / self.two_m
+            values, vectors = np.linalg.eigh(dense - np.diag(self.row_sums))
+        else:
+            op = LinearOperator((size, size), matvec=self.matvec, dtype=float)
+            values, vectors = eigsh(
+                op, k=1, which="LA", v0=v0,
+                tol=params.eigen_tolerance, maxiter=params.eigen_max_iterations,
+            )
+        return values[-1], vectors[:, -1]
+
+
 def _try_split(adjacency, deg, two_m, group, params, rng):
     """Return (left, right) node-index arrays or None if indivisible."""
     size = len(group)
     if size < 2:
         return None
-    sub = adjacency[group][:, group].tocsr()
-    d_g = deg[group]
-    d_total = d_g.sum()
-    row_within = np.asarray(sub.sum(axis=1)).ravel()
-    # Row sums of B restricted to the group; subtracting them on the
-    # diagonal makes the generalized matrix annihilate constant vectors.
-    row_adjust = row_within - d_g * d_total / two_m
-
-    def matvec(x):
-        return sub @ x - d_g * (d_g @ x) / two_m - row_adjust * x
-
-    shift = _shift_bound(sub, d_g, row_within, two_m)
-    if shift <= 0.0:
-        return None
-    x = rng.normal(size=size)
-    x /= np.linalg.norm(x)
-    converged = False
-    for _ in range(params.eigen_max_iterations):
-        y = matvec(x) + shift * x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return None
-        y /= norm
-        if y @ x < 0:
-            y = -y
-        if np.max(np.abs(y - x)) < params.eigen_tolerance:
-            x = y
-            converged = True
-            break
-        x = y
-    if not converged:
+    b = _GroupMatrix(adjacency, deg, two_m, group)
+    v0 = rng.normal(size=size)  # drawn even when unused: the stream ignores _DENSE_MAX_SIZE
+    try:
+        leading, x = b.leading_eigenpair(v0, params)
+    except ArpackNoConvergence:
         warnings.warn(
             ConvergenceWarning(
-                f"power iteration did not converge on a subgroup of size {size}; "
+                f"eigsh did not converge on a subgroup of size {size}; "
                 f"treating it as indivisible"
             )
         )
         return None
-    leading = float(x @ (matvec(x) + shift * x)) - shift
     if leading <= 1e-10:
         return None
     s = np.where(x >= 0.0, 1.0, -1.0)
     if np.all(s > 0) or np.all(s < 0):
         return None
-    gain = (s @ matvec(s)) / (2.0 * two_m)
+    gain = (s @ b.matvec(s)) / (2.0 * two_m)
     if gain <= 1e-12:
         return None
     return group[s > 0], group[s < 0]

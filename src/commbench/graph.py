@@ -73,8 +73,13 @@ class Graph:
 
     def weighted(self):
         """This graph as a WeightedGraph with unit edge weights and no
-        self-loops."""
-        return WeightedGraph(self._n, dict.fromkeys(self._edges, 1.0), [0.0] * self._n)
+        self-loops, in the constructor's sorted neighbour order."""
+        lift = WeightedGraph.__new__(WeightedGraph)
+        lift._n = self._n
+        lift._self_loops = [0.0] * self._n
+        lift._adj = [[(v, 1.0) for v in lst] for lst in self._adj]
+        lift._strength = [float(len(lst)) for lst in self._adj]
+        return lift
 
     def __repr__(self):
         return f"Graph(n={self._n}, m={len(self._edges)})"

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.stats import spearmanr
 
 from commbench.algorithms import (
@@ -36,6 +37,8 @@ from oracles import (
     max_modularity_bruteforce,
     nmi_direct,
 )
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(criterion, passed, detail):

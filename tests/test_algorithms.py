@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from commbench.algorithms import (
     ALGORITHMS,
@@ -20,7 +21,10 @@ from commbench.algorithms import (
 )
 from commbench.algorithms.information import description_length
 from commbench.algorithms.random_walk import _column_normalize, _prune
+from commbench.algorithms.spectral import _DENSE_MAX_SIZE, _GroupMatrix, _try_split
 from commbench.graph import Graph, Partition, edge_triangle_count
+from commbench.harness import SweepSpec, run_sweep
+from commbench.lfr import LfrConfig, generate
 from commbench.metrics import modularity, partition_nmi
 
 from conftest import clique_edges, make_clique_pair, make_ring_of_triangles
@@ -162,6 +166,67 @@ class TestLeadingEigenvector:
         sides = {frozenset(c) for c in got.communities()}
         assert oracle_split in sides or frozenset(range(n)) - oracle_split in sides
         assert got == Partition([0] * 4 + [1] * 4)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_group_eigenpair_matches_dense_oracle(self, seed):
+        # Random subgroups on both sides of the dense/Lanczos size cut-off:
+        # the leading eigenvalue equals the dense generalized B's, and an
+        # accepted split is that eigenvector's sign pattern.
+        g = generate(
+            LfrConfig(n=250, avg_degree=8, max_degree=24, gamma=2.0, beta=2.0, mu=0.3, seed=seed)
+        ).graph
+        n, two_m = g.node_count, 2.0 * g.edge_count
+        a = np.zeros((n, n))
+        for u, v in g.edges:
+            a[u, v] = a[v, u] = 1.0
+        deg = a.sum(axis=1)
+        b = a - np.outer(deg, deg) / two_m
+        adjacency = sp.csr_matrix(a)
+        rng = np.random.default_rng(seed)
+        params = AlgoParams(seed=seed)
+        for size in (2, 17, _DENSE_MAX_SIZE, _DENSE_MAX_SIZE + 1, 120, n):
+            group = np.sort(rng.choice(n, size=size, replace=False))
+            bg = b[np.ix_(group, group)]
+            bg -= np.diag(bg.sum(axis=1))
+            top = np.linalg.eigvalsh(bg)[-1]
+            leading, _ = _GroupMatrix(adjacency, deg, two_m, group).leading_eigenpair(
+                rng.normal(size=size), params
+            )
+            assert leading == pytest.approx(top, abs=1e-8)
+            x = np.linalg.eigh(bg)[1][:, -1]
+            s = np.where(x >= 0.0, 1.0, -1.0)
+            divisible = top > 1e-10 and abs(s.sum()) < size and s @ bg @ s / (2 * two_m) > 1e-12
+            split = _try_split(adjacency, deg, two_m, group, params, rng)
+            if not divisible:
+                assert split is None
+                continue
+            sides = {frozenset(group[s > 0].tolist()), frozenset(group[s < 0].tolist())}
+            assert {frozenset(side.tolist()) for side in split} == sides
+
+    def test_eigensolver_cap_warns_and_returns_partition(self):
+        g = generate(
+            LfrConfig(n=500, avg_degree=10, max_degree=30, gamma=2.0, beta=2.0, mu=0.3, seed=4)
+        ).graph
+        with pytest.warns(ConvergenceWarning, match="eigsh did not converge"):
+            got = leading_eigenvector(g, AlgoParams(seed=1, eigen_max_iterations=1))
+        assert isinstance(got, Partition)
+        assert got.node_count == g.node_count
+
+    def test_rejects_non_positive_iteration_cap(self, two_five_cliques):
+        with pytest.raises(ValueError, match="eigen_max_iterations"):
+            leading_eigenvector(two_five_cliques, AlgoParams(eigen_max_iterations=0))
+
+    def test_pinned_sweep_unit_converges(self):
+        # The n=1000 unit of the reduced sweep that the shifted power
+        # iteration left unconverged, at Q = 0.302332 with 10 communities.
+        spec = SweepSpec(
+            node_counts=(1000,), avg_degrees=(5,), gammas=(2.0,), betas=(2.0,),
+            mu_grid=(0.4, 0.4, 0.1), replicates=1,
+            algorithms=("leading_eigenvector",), master_seed=7,
+        )
+        (record,) = run_sweep(spec).records
+        assert "nonconverged" not in record.flags
+        assert record.modularity >= 0.302332
 
 
 class TestWalktrap:

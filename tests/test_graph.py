@@ -5,6 +5,7 @@ import pytest
 from commbench.graph import (
     Graph,
     Partition,
+    WeightedGraph,
     connected_components,
     degree,
     edge_triangle_count,
@@ -14,6 +15,8 @@ from commbench.graph import (
     write_edge_list,
     write_membership,
 )
+
+from commbench.lfr import LfrConfig, generate
 
 from conftest import clique_edges, make_clique_pair
 
@@ -155,6 +158,22 @@ class TestQuotientGraph:
         q = quotient_graph(bridged_triangles, part)
         q2 = quotient_graph(q, Partition([0, 0]))
         assert q2.self_loops == [2.0 * bridged_triangles.edge_count]
+
+
+class TestWeightedLift:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lift_equals_constructor(self, seed):
+        g = generate(
+            LfrConfig(n=300, avg_degree=10, max_degree=30, gamma=2.0, beta=2.0, mu=0.3, seed=seed)
+        ).graph
+        lift = g.weighted()
+        built = WeightedGraph(g.node_count, dict.fromkeys(g.edges, 1.0), [0.0] * g.node_count)
+        assert lift.node_count == built.node_count
+        assert lift.self_loops == built.self_loops
+        assert lift.total_strength == built.total_strength
+        for v in range(g.node_count):
+            assert lift.neighbors(v) == built.neighbors(v)
+            assert lift.strength(v) == built.strength(v)
 
 
 class TestPartition:
