@@ -8,9 +8,7 @@ scores recovered partitions against the planted ones.
 from .graph import (
     Graph,
     Partition,
-    WeightedGraph,
     connected_components,
-    degree,
     edge_triangle_count,
     quotient_graph,
     read_edge_list,

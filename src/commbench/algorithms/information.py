@@ -16,26 +16,26 @@ import random
 import numpy as np
 
 from ..graph import Graph, Partition
-from .modularity_opt import _aggregate_levels
+from .modularity_opt import _aggregate_levels, _weighted_adjacency
 
 
 def _plogp(x):
     return x * math.log(x) if x > 0.0 else 0.0
 
 
-def _module_state(graph, comm, count):
+def _module_state(adj, strength, comm, count):
     p_mod = [0.0] * count
     w_out = [0.0] * count
     for v, c in enumerate(comm):
-        p_mod[c] += graph.strength(v)
-        for u, wt in graph.neighbors(v):
+        p_mod[c] += strength[v]
+        for u, wt in adj[v]:
             if comm[u] != c:
                 w_out[c] += wt
     return p_mod, w_out
 
 
-def _node_term(graph, two_w):
-    return sum(_plogp(graph.strength(v) / two_w) for v in range(graph.node_count))
+def _node_term(strength, two_w):
+    return sum(_plogp(s / two_w) for s in strength)
 
 
 def _length_from_state(p_mod, w_out, two_w, node_term):
@@ -49,22 +49,24 @@ def _length_from_state(p_mod, w_out, two_w, node_term):
 
 def description_length(graph, partition: Partition) -> float:
     """Two-level description length (nats) of the walk under a partition
-    of a Graph or WeightedGraph."""
-    graph = graph.weighted()
+    of a graph."""
     two_w = graph.total_strength
     if two_w <= 0:
         raise ValueError("needs at least one edge")
-    p_mod, w_out = _module_state(graph, partition.membership, partition.num_communities)
-    return _length_from_state(p_mod, w_out, two_w, _node_term(graph, two_w))
+    strength = graph.strengths().tolist()
+    p_mod, w_out = _module_state(
+        _weighted_adjacency(graph), strength, partition.membership, partition.num_communities
+    )
+    return _length_from_state(p_mod, w_out, two_w, _node_term(strength, two_w))
 
 
 def _map_local_pass(graph, rng):
     """Sweep-until-stable local moves minimizing description length on one
-    aggregation level, a WeightedGraph. Returns (labels, moved_any)."""
+    aggregation level. Returns (labels, moved_any)."""
     n = graph.node_count
-    adj = [graph.neighbors(v) for v in range(n)]
-    self_w = graph.self_loops
-    strength = [graph.strength(v) for v in range(n)]
+    adj = _weighted_adjacency(graph)
+    self_w = graph.self_loops.tolist()
+    strength = graph.strengths().tolist()
     two_w = graph.total_strength
     comm = list(range(n))
     p_mod = list(strength)
@@ -132,18 +134,18 @@ def _map_local_pass(graph, rng):
 
 def _anneal_refine(graph, labels, params):
     """Metropolis refinement of module assignments at the original-node
-    level, a WeightedGraph; returns the best labeling encountered."""
+    level; returns the best labeling encountered."""
     n = graph.node_count
-    adj = [graph.neighbors(v) for v in range(n)]
-    self_w = graph.self_loops
-    strength = [graph.strength(v) for v in range(n)]
+    adj = _weighted_adjacency(graph)
+    self_w = graph.self_loops.tolist()
+    strength = graph.strengths().tolist()
     two_w = graph.total_strength
     rng = random.Random(params.seed + 0x5EED)
     part = Partition.from_labels(labels)
     comm = list(part.membership)
-    p_mod, w_out = _module_state(graph, comm, part.num_communities)
+    p_mod, w_out = _module_state(adj, strength, comm, part.num_communities)
     q_tot = sum(w_out)
-    length = _length_from_state(p_mod, w_out, two_w, _node_term(graph, two_w))
+    length = _length_from_state(p_mod, w_out, two_w, _node_term(strength, two_w))
     best_length = length
     best = list(comm)
 
@@ -201,12 +203,11 @@ def infomap(graph: Graph, params) -> Partition:
         raise ValueError("needs at least one edge")
     params.validate()
     rng = np.random.default_rng(params.seed)
-    base = graph.weighted()
-    member = _aggregate_levels(base, _map_local_pass, rng)
+    member = _aggregate_levels(graph, _map_local_pass, rng)
     if params.infomap_anneal:
-        member = _anneal_refine(base, member, params)
+        member = _anneal_refine(graph, member, params)
     result = Partition.from_labels(member)
     all_in_one = Partition([0] * graph.node_count)
-    if description_length(base, all_in_one) < description_length(base, result):
+    if description_length(graph, all_in_one) < description_length(graph, result):
         return all_in_one
     return result

@@ -107,12 +107,19 @@ def fastgreedy(graph: Graph) -> Partition:
     return agg.run(heap, lambda a, x: (-delta_q(a, x),))
 
 
+def _weighted_adjacency(graph):
+    """Each node's (neighbour, weight) pairs in increasing neighbour order."""
+    pairs = list(zip(graph.indices.tolist(), graph.weights.tolist()))
+    bounds = graph.indptr.tolist()
+    return [pairs[bounds[v]:bounds[v + 1]] for v in range(graph.node_count)]
+
+
 def _local_moving_pass(graph, rng):
-    """One seeded sweep-until-stable phase of greedy modularity moves on a
-    WeightedGraph. Returns (membership labels, moved_any)."""
+    """One seeded sweep-until-stable phase of greedy modularity moves on
+    one aggregation level. Returns (membership labels, moved_any)."""
     n = graph.node_count
-    adj = [graph.neighbors(v) for v in range(n)]
-    strength = [graph.strength(v) for v in range(n)]
+    adj = _weighted_adjacency(graph)
+    strength = graph.strengths().tolist()
     two_w = graph.total_strength
     comm = list(range(n))
     sigma_tot = list(strength)
@@ -153,10 +160,10 @@ def _local_moving_pass(graph, rng):
 
 
 def _aggregate_levels(level, local_pass, rng):
-    """Run `local_pass(level, rng) -> (labels, moved_any)` on the
-    WeightedGraph `level`, then on the quotient graph of each pass's
-    communities, until a pass moves nothing or merges nothing. Returns the
-    community label of each node of the first level."""
+    """Run `local_pass(level, rng) -> (labels, moved_any)` on the graph
+    `level`, then on the quotient graph of each pass's communities, until
+    a pass moves nothing or merges nothing. Returns the community label of
+    each node of the first level."""
     n = level.node_count
     member = list(range(n))
     while True:
@@ -176,7 +183,7 @@ def louvain(graph: Graph, params) -> Partition:
     the community quotient graph, until a pass yields no improvement."""
     _require_edges(graph)
     rng = np.random.default_rng(params.seed)
-    return Partition.from_labels(_aggregate_levels(graph.weighted(), _local_moving_pass, rng))
+    return Partition.from_labels(_aggregate_levels(graph, _local_moving_pass, rng))
 
 
 def spinglass(graph: Graph, params) -> Partition:

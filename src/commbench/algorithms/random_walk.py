@@ -33,10 +33,7 @@ def walktrap(graph: Graph, params) -> Partition:
     deg = np.asarray(graph.degrees(), dtype=float)
     inv_d = np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
 
-    adjacency = np.zeros((n, n))
-    edges = np.asarray(graph.edges)
-    adjacency[edges[:, 0], edges[:, 1]] = 1.0
-    adjacency[edges[:, 1], edges[:, 0]] = 1.0
+    adjacency = graph.adjacency().toarray()
     walk = adjacency * inv_d[:, None]
     profile = np.linalg.matrix_power(walk, params.walktrap_t)
     del adjacency, walk
@@ -90,15 +87,7 @@ def markov_cluster(graph: Graph, params) -> Partition:
     ConvergenceWarning and uses the last iterate if the cap is reached.
     """
     params.validate()
-    n = graph.node_count
-    rows = [v for v in range(n)]
-    cols = [v for v in range(n)]
-    for u, v in graph.edges:
-        rows += [u, v]
-        cols += [v, u]
-    matrix = sp.csc_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n)
-    )
+    matrix = graph.adjacency() + sp.identity(graph.node_count, format="csr")
     matrix = _column_normalize(matrix)
 
     converged = False

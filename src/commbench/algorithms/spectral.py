@@ -14,7 +14,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ..graph import Graph, Partition
@@ -35,11 +34,7 @@ def leading_eigenvector(graph: Graph, params) -> Partition:
     n = graph.node_count
     two_m = 2.0 * graph.edge_count
     deg = np.asarray(graph.degrees(), dtype=float)
-    u, v = np.asarray(graph.edges).T
-    adjacency = sp.csr_matrix(
-        (np.ones(2 * len(u)), (np.concatenate([u, v]), np.concatenate([v, u]))),
-        shape=(n, n),
-    )
+    adjacency = graph.adjacency()
 
     labels = np.full(n, -1, dtype=int)
     next_label = 0

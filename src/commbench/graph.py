@@ -1,4 +1,4 @@
-"""Undirected simple graphs, weighted community-level graphs, and node
+"""Undirected graphs in compressed sparse row (CSR) form, and node
 partitions.
 
 Node ids are dense integers 0..n-1; external labels must be mapped at the
@@ -8,139 +8,116 @@ safe to share across workers.
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components as _components
 
 
 class Graph:
-    """Undirected simple graph over nodes 0..node_count-1.
+    """Undirected graph over nodes 0..node_count-1 in CSR form.
 
-    Self-loops and duplicate edges are rejected. Adjacency lists are kept
-    sorted so iteration order never depends on construction order.
+    Four read-only arrays hold it: row v of the adjacency is
+    `indices[indptr[v]:indptr[v+1]]`, sorted by node id, with the edge
+    weights in `weights`; every edge is stored in both of its rows.
+    `self_loops[v]` is node v's self-loop weight, which counts once toward
+    its strength. Graphs built from an edge list are simple, with unit
+    weights and no self-loops; quotient graphs carry summed weights.
     """
 
-    __slots__ = ("_n", "_edges", "_adj")
+    __slots__ = ("indptr", "indices", "weights", "self_loops")
 
     def __init__(self, node_count, edges):
+        """Simple graph from (u, v) pairs; self-loops, duplicate edges and
+        out-of-range ids are rejected."""
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
-        self._n = int(node_count)
-        canon = []
-        for u, v in edges:
-            u, v = int(u), int(v)
+        n = int(node_count)
+        pairs = np.array(list(edges), dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        elif pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if bad.any():
+            u, v = pairs[np.argmax(bad)].tolist()
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self._n}")
-            canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for i in range(1, len(canon)):
-            if canon[i] == canon[i - 1]:
-                raise ValueError(f"duplicate edge {canon[i]}")
-        self._edges = canon
-        adj = [[] for _ in range(self._n)]
-        for u, v in canon:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        self._adj = adj
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        key = np.sort(lo * n + hi)
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if len(dup):
+            raise ValueError(f"duplicate edge {divmod(int(key[dup[0]]), n)}")
+        rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        self._assign(n, rows, cols, np.ones(len(rows)), np.zeros(n))
+
+    @classmethod
+    def _from_entries(cls, node_count, rows, cols, weights, self_loops):
+        """Graph from (row, col, weight) entries that list every edge in
+        both directions, duplicates summed; skips __init__ and its checks."""
+        graph = cls.__new__(cls)
+        graph._assign(node_count, rows, cols, weights, self_loops)
+        return graph
+
+    def _assign(self, node_count, rows, cols, weights, self_loops):
+        csr = sp.csr_matrix((weights, (rows, cols)), shape=(node_count, node_count))
+        csr.sum_duplicates()
+        arrays = (csr.indptr, csr.indices, csr.data, np.asarray(self_loops, dtype=float))
+        for name, array in zip(self.__slots__, arrays):
+            array.flags.writeable = False
+            setattr(self, name, array)
 
     @property
     def node_count(self):
-        return self._n
+        return len(self.indptr) - 1
 
     @property
     def edge_count(self):
-        return len(self._edges)
+        """Number of adjacent node pairs (self-loops excluded)."""
+        return len(self.indices) // 2
 
     @property
     def edges(self):
         """Edges as sorted (u, v) pairs with u < v."""
-        return self._edges
+        rows = self.rows()
+        upper = rows < self.indices
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+
+    def rows(self):
+        """The row (source node) of each entry of `indices`."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
 
     def degree(self, node):
-        if not 0 <= node < self._n:
-            raise ValueError(f"node {node} out of range for n={self._n}")
-        return len(self._adj[node])
+        return len(self.neighbors(node))
 
     def degrees(self):
-        return [len(lst) for lst in self._adj]
+        return np.diff(self.indptr).tolist()
 
     def neighbors(self, node):
-        if not 0 <= node < self._n:
-            raise ValueError(f"node {node} out of range for n={self._n}")
-        return self._adj[node]
+        """Adjacent nodes in increasing id order, self excluded."""
+        if not 0 <= node < len(self.indptr) - 1:
+            raise ValueError(f"node {node} out of range for n={self.node_count}")
+        return self.indices[self.indptr[node]:self.indptr[node + 1]].tolist()
 
-    def weighted(self):
-        """This graph as a WeightedGraph with unit edge weights and no
-        self-loops, in the constructor's sorted neighbour order."""
-        lift = WeightedGraph.__new__(WeightedGraph)
-        lift._n = self._n
-        lift._self_loops = [0.0] * self._n
-        lift._adj = [[(v, 1.0) for v in lst] for lst in self._adj]
-        lift._strength = [float(len(lst)) for lst in self._adj]
-        return lift
-
-    def __repr__(self):
-        return f"Graph(n={self._n}, m={len(self._edges)})"
-
-
-class WeightedGraph:
-    """Graph with edge and self-loop weights: the aggregation levels of the
-    local-moving detectors, from a Graph's unit-weight lift up through its
-    quotient graphs.
-
-    A self-loop of weight s contributes s to its node's strength, so the
-    quotient of a graph with 2m stub ends conserves total strength 2m.
-    """
-
-    __slots__ = ("_n", "_self_loops", "_adj", "_strength")
-
-    def __init__(self, node_count, cross_weights, self_loops):
-        """Build from inter-node weights {(u, v): w} with u < v and a
-        per-node self-loop weight sequence."""
-        self._n = int(node_count)
-        self._self_loops = [float(w) for w in self_loops]
-        if len(self._self_loops) != self._n:
-            raise ValueError("self_loops length must equal node_count")
-        adj = [[] for _ in range(self._n)]
-        for (u, v), w in sorted(cross_weights.items()):
-            if u == v or not (0 <= u < v < self._n):
-                raise ValueError(f"bad cross-weight key ({u},{v})")
-            w = float(w)
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self._adj = adj
-        self._strength = [
-            self._self_loops[v] + sum(w for _, w in adj[v]) for v in range(self._n)
-        ]
-
-    @property
-    def node_count(self):
-        return self._n
-
-    @property
-    def self_loops(self):
-        return self._self_loops
-
-    def neighbors(self, node):
-        """Weighted neighbors as (node, weight) pairs, self excluded."""
-        return self._adj[node]
-
-    def strength(self, node):
-        return self._strength[node]
+    def strengths(self):
+        """Per-node summed edge weight plus self-loop weight."""
+        n = self.node_count
+        return np.bincount(self.rows(), weights=self.weights, minlength=n) + self.self_loops
 
     @property
     def total_strength(self):
-        """Sum of node strengths; equals 2m for a unit-weight quotient."""
-        return sum(self._strength)
+        """Sum of node strengths: 2m for a graph of m unit edges and for
+        each of its quotients."""
+        return float(self.weights.sum() + self.self_loops.sum())
 
-    def weighted(self):
-        """Itself, so either graph kind can be lifted the same way."""
-        return self
+    def adjacency(self):
+        """The weighted adjacency as a scipy CSR matrix sharing this
+        graph's arrays (read-only, self-loops excluded)."""
+        n = self.node_count
+        return sp.csr_matrix((self.weights, self.indices, self.indptr), shape=(n, n), copy=False)
 
     def __repr__(self):
-        return f"WeightedGraph(n={self._n})"
+        return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
 class Partition:
@@ -211,11 +188,6 @@ class Partition:
         return f"Partition(n={len(self._membership)}, c={len(self._sizes)})"
 
 
-def degree(graph, node):
-    """Number of neighbors of `node`."""
-    return graph.degree(node)
-
-
 def edge_triangle_count(graph, u, v):
     """Number of triangles containing the edge {u, v} (= common neighbors)."""
     around_u = set(graph.neighbors(u))
@@ -225,52 +197,30 @@ def edge_triangle_count(graph, u, v):
 
 
 def connected_components(graph) -> Partition:
-    """Partition whose communities are the connected components."""
-    n = graph.node_count
-    comp = [-1] * n
-    cid = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = cid
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in graph.neighbors(v):
-                if comp[w] < 0:
-                    comp[w] = cid
-                    queue.append(w)
-        cid += 1
-    return Partition(comp)
+    """Partition whose communities are the connected components, numbered
+    by their smallest node."""
+    _, labels = _components(graph.adjacency(), directed=False)
+    return Partition.from_labels(labels.tolist())
 
 
-def quotient_graph(graph, partition) -> WeightedGraph:
-    """Collapse communities to single nodes of a Graph or WeightedGraph.
+def quotient_graph(graph, partition) -> Graph:
+    """Collapse communities to single nodes.
 
-    Self-loop weights are twice the intra-community edge weight and
-    inter-community weights are the summed cross weights, so node strengths
-    (and their total) are conserved.
+    Self-loop weights are twice the intra-community edge weight (plus the
+    members' self-loops) and inter-community weights are the summed cross
+    weights, so node strengths (and their total) are conserved.
     """
     if partition.node_count != graph.node_count:
         raise ValueError("partition does not cover the graph's node set")
-    graph = graph.weighted()
+    member = np.asarray(partition.membership)
     c = partition.num_communities
-    member = partition.membership
-    self_loops = [0.0] * c
-    cross = {}
-    for v in range(graph.node_count):
-        cv = member[v]
-        self_loops[cv] += graph.self_loops[v]
-        for w, wt in graph.neighbors(v):
-            if w < v:
-                continue
-            cw = member[w]
-            if cv == cw:
-                self_loops[cv] += 2.0 * wt
-            else:
-                key = (cv, cw) if cv < cw else (cw, cv)
-                cross[key] = cross.get(key, 0.0) + wt
-    return WeightedGraph(c, cross, self_loops)
+    rows, cols = member[graph.rows()], member[graph.indices]
+    intra = rows == cols
+    self_loops = np.bincount(member, weights=graph.self_loops, minlength=c) + np.bincount(
+        rows[intra], weights=graph.weights[intra], minlength=c
+    )
+    cross = ~intra
+    return Graph._from_entries(c, rows[cross], cols[cross], graph.weights[cross], self_loops)
 
 
 def read_edge_list(path, node_count=None):
@@ -320,6 +270,8 @@ def read_membership(path):
             pairs.append((int(parts[0]), int(parts[1])))
     if not pairs:
         raise ValueError("empty membership file")
+    if any(v < 0 for v, _ in pairs):
+        raise ValueError(f"negative node id {min(v for v, _ in pairs)}")
     n = max(v for v, _ in pairs) + 1
     member = [-1] * n
     for v, cid in pairs:

@@ -64,14 +64,14 @@ class SweepSpec:
     """Grid definition: every combination of the parameter lists times the
     mu grid, `replicates` networks per combination."""
 
-    node_counts: tuple = (1000,)
-    avg_degrees: tuple = (15,)
+    node_counts: tuple[int, ...] = (1000,)
+    avg_degrees: tuple[float, ...] = (15,)
     max_degree_factor: float = 3.0
-    gammas: tuple = (3.0,)
-    betas: tuple = (2.0,)
-    mu_grid: tuple = (0.05, 0.95, 0.05)
+    gammas: tuple[float, ...] = (3.0,)
+    betas: tuple[float, ...] = (2.0,)
+    mu_grid: tuple[float, ...] = (0.05, 0.95, 0.05)
     replicates: int = 25
-    algorithms: tuple = tuple(sorted(ALGORITHMS))
+    algorithms: tuple[str, ...] = tuple(sorted(ALGORITHMS))
     master_seed: int = 0
     output_dir: str | None = None
 
@@ -124,22 +124,15 @@ class SweepSpec:
                 key, _, value = line.partition("=")
                 raw[key.strip()] = [v.strip() for v in value.split(",") if v.strip()]
         kwargs = {}
-        for f in fields(cls):
-            if f.name not in raw:
+        for name, hint in typing.get_type_hints(cls).items():
+            if name not in raw:
                 continue
-            value = raw[f.name]
-            if f.name in ("node_counts",):
-                kwargs[f.name] = tuple(int(v) for v in _aslist(value))
-            elif f.name in ("avg_degrees", "gammas", "betas", "mu_grid"):
-                kwargs[f.name] = tuple(float(v) for v in _aslist(value))
-            elif f.name == "algorithms":
-                kwargs[f.name] = tuple(str(v) for v in _aslist(value))
-            elif f.name in ("replicates", "master_seed"):
-                kwargs[f.name] = int(_asscalar(value))
-            elif f.name == "max_degree_factor":
-                kwargs[f.name] = float(_asscalar(value))
-            elif f.name == "output_dir":
-                kwargs[f.name] = str(_asscalar(value))
+            # tuple[int, ...] -> int, str | None -> str, int -> int
+            kind = (typing.get_args(hint) or (hint,))[0]
+            if typing.get_origin(hint) is tuple:
+                kwargs[name] = tuple(kind(v) for v in _aslist(raw[name]))
+            else:
+                kwargs[name] = kind(_asscalar(raw[name]))
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown sweep spec keys: {sorted(unknown)}")

@@ -90,20 +90,25 @@ def partition_nmi(actual: Partition, estimated: Partition) -> float:
 
 
 def modularity(graph: Graph, partition: Partition) -> float:
-    """Newman-Girvan modularity Q = sum_c [l_c/m - (d_c/2m)^2]."""
+    """Newman-Girvan modularity Q = sum_c [l_c/m - (d_c/2m)^2], with edge
+    and self-loop weights (a quotient graph scores the partition it
+    collapsed under its singletons)."""
     if partition.node_count != graph.node_count:
         raise ValueError("partition does not cover the graph's node set")
+    two_m = graph.total_strength
+    if two_m == 0:
+        raise ValueError("modularity undefined on an edgeless graph")
     member = np.asarray(partition.membership)
     c = partition.num_communities
-    m = graph.edge_count
-    if m == 0:
-        raise ValueError("modularity undefined on an edgeless graph")
-    edges = np.asarray(graph.edges)
-    eu, ev = edges[:, 0], edges[:, 1]
-    intra = member[eu] == member[ev]
-    l_c = np.bincount(member[eu][intra], minlength=c).astype(float)
-    d_c = np.bincount(member, weights=np.asarray(graph.degrees(), dtype=float), minlength=c)
-    return float(np.sum(l_c / m - (d_c / (2.0 * m)) ** 2))
+    rows, cols = member[graph.rows()], member[graph.indices]
+    intra = rows == cols
+    # Both directions of each intra edge, and self-loops at twice their
+    # intra weight: 2 l_c.
+    two_l_c = np.bincount(rows[intra], weights=graph.weights[intra], minlength=c) + np.bincount(
+        member, weights=graph.self_loops, minlength=c
+    )
+    d_c = np.bincount(member, weights=graph.strengths(), minlength=c)
+    return float(np.sum(two_l_c / two_m - (d_c / two_m) ** 2))
 
 
 class MixingReport(NamedTuple):
@@ -122,17 +127,14 @@ def measured_mixing(graph: Graph, partition: Partition) -> MixingReport:
     m = graph.edge_count
     if m == 0:
         raise ValueError("mixing undefined: all nodes are isolated")
-    member = partition.membership
-    n = graph.node_count
-    ext = [0] * n
-    inter_edges = 0
-    for u, v in graph.edges:
-        if member[u] != member[v]:
-            ext[u] += 1
-            ext[v] += 1
-            inter_edges += 1
-    ratios = [ext[v] / graph.degree(v) for v in range(n) if graph.degree(v) > 0]
-    return MixingReport(math.fsum(ratios) / len(ratios), inter_edges / m)
+    member = np.asarray(partition.membership)
+    rows = graph.rows()
+    cross = member[rows] != member[graph.indices]
+    ext = np.bincount(rows[cross], minlength=graph.node_count)
+    deg = np.diff(graph.indptr)
+    linked = deg > 0
+    ratios = (ext[linked] / deg[linked]).tolist()
+    return MixingReport(math.fsum(ratios) / len(ratios), int(cross.sum()) // 2 / m)
 
 
 def pearson(xs, ys) -> float:

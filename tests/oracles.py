@@ -64,7 +64,10 @@ def singleton_modularity_direct(weighted):
     from its self-loop weights and node strengths: each node's inside
     weight is its self-loop, and its expected share is its strength over
     the total."""
-    strengths = [weighted.strength(v) for v in range(weighted.node_count)]
+    strengths = [
+        loop + sum(weighted.weights[weighted.indptr[v]:weighted.indptr[v + 1]])
+        for v, loop in enumerate(weighted.self_loops)
+    ]
     total = sum(strengths)
     q = 0.0
     for loop, strength in zip(weighted.self_loops, strengths):

@@ -1,13 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from commbench.graph import (
     Graph,
     Partition,
-    WeightedGraph,
     connected_components,
-    degree,
     edge_triangle_count,
     quotient_graph,
     read_edge_list,
@@ -17,6 +16,7 @@ from commbench.graph import (
 )
 
 from commbench.lfr import LfrConfig, generate
+from commbench.metrics import modularity
 
 from conftest import clique_edges, make_clique_pair
 
@@ -43,6 +43,14 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(0, [])
 
+    def test_arrays_read_only_and_shared_by_sparse_view(self, triangle):
+        with pytest.raises(ValueError):
+            triangle.indices[0] = 2
+        view = triangle.adjacency()
+        for mine, theirs in ((triangle.indptr, view.indptr), (triangle.indices, view.indices),
+                             (triangle.weights, view.data)):
+            assert np.shares_memory(mine, theirs)
+
     def test_degree_sum_equals_twice_edge_count(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -53,19 +61,19 @@ class TestGraphConstruction:
 class TestDegree:
     def test_triangle_every_node(self, triangle):
         for v in range(3):
-            assert degree(triangle, v) == 2
+            assert triangle.degree(v) == 2
 
     def test_single_edge(self):
         g = Graph(2, [(0, 1)])
-        assert degree(g, 0) == 1
+        assert g.degree(0) == 1
 
     def test_isolated_node(self):
         g = Graph(2, [])
-        assert degree(g, 0) == 0
+        assert g.degree(0) == 0
 
     def test_out_of_range_errors(self, triangle):
         with pytest.raises(ValueError):
-            degree(triangle, 3)
+            triangle.degree(3)
 
 
 class TestEdgeTriangleCount:
@@ -123,25 +131,33 @@ class TestConnectedComponents:
             sub = Graph(len(nodes), sub_edges)
             assert connected_components(sub).num_communities == 1
 
+    def test_ids_numbered_by_smallest_node(self):
+        # Components {0, 5}, {1, 3}, {2}, {4, 6}: ids follow each
+        # component's smallest node.
+        g = Graph(7, [(3, 1), (6, 4), (5, 0)])
+        assert connected_components(g).membership == (0, 1, 2, 1, 3, 0, 3)
+
 
 class TestQuotientGraph:
     def test_bridged_cliques(self, bridged_triangles):
         part = Partition([0, 0, 0, 1, 1, 1])
         q = quotient_graph(bridged_triangles, part)
         assert q.node_count == 2
-        assert q.self_loops == [6.0, 6.0]
-        assert q.neighbors(0) == [(1, 1.0)]
+        assert q.self_loops.tolist() == [6.0, 6.0]
+        assert q.neighbors(0) == [1]
+        assert q.weights.tolist() == [1.0, 1.0]
 
     def test_singleton_partition_copies_graph(self, triangle):
         part = Partition([0, 1, 2])
         q = quotient_graph(triangle, part)
-        assert q.self_loops == [0.0, 0.0, 0.0]
-        assert sorted(q.neighbors(0)) == [(1, 1.0), (2, 1.0)]
+        assert q.self_loops.tolist() == [0.0, 0.0, 0.0]
+        assert q.neighbors(0) == [1, 2]
+        assert q.weights.tolist() == [1.0] * 6
 
     def test_all_in_one(self, bridged_triangles):
         part = Partition([0] * 6)
         q = quotient_graph(bridged_triangles, part)
-        assert q.self_loops == [2.0 * bridged_triangles.edge_count]
+        assert q.self_loops.tolist() == [2.0 * bridged_triangles.edge_count]
 
     def test_total_strength_conserved(self):
         rng = random.Random(3)
@@ -157,23 +173,90 @@ class TestQuotientGraph:
         part = Partition([0, 0, 0, 1, 1, 1])
         q = quotient_graph(bridged_triangles, part)
         q2 = quotient_graph(q, Partition([0, 0]))
-        assert q2.self_loops == [2.0 * bridged_triangles.edge_count]
+        assert q2.self_loops.tolist() == [2.0 * bridged_triangles.edge_count]
 
 
-class TestWeightedLift:
+def lfr_graph(seed):
+    return generate(
+        LfrConfig(n=300, avg_degree=10, max_degree=30, gamma=2.0, beta=2.0, mu=0.3, seed=seed)
+    ).graph
+
+
+class TestSingletonQuotient:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_lift_equals_constructor(self, seed):
-        g = generate(
-            LfrConfig(n=300, avg_degree=10, max_degree=30, gamma=2.0, beta=2.0, mu=0.3, seed=seed)
-        ).graph
-        lift = g.weighted()
-        built = WeightedGraph(g.node_count, dict.fromkeys(g.edges, 1.0), [0.0] * g.node_count)
-        assert lift.node_count == built.node_count
-        assert lift.self_loops == built.self_loops
-        assert lift.total_strength == built.total_strength
+    def test_equals_graph_arrays(self, seed):
+        g = lfr_graph(seed)
+        q = quotient_graph(g, Partition(range(g.node_count)))
+        for name in ("indptr", "indices", "weights", "self_loops"):
+            assert np.array_equal(getattr(q, name), getattr(g, name)), name
+        assert q.edges == g.edges
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_modularity_of_collapsed_partition(self, seed):
+        g = lfr_graph(seed)
+        rng = random.Random(seed)
+        part = Partition.from_labels([rng.randrange(12) for _ in range(g.node_count)])
+        q = quotient_graph(g, part)
+        singletons = Partition(range(q.node_count))
+        assert modularity(q, singletons) == pytest.approx(modularity(g, part), abs=1e-12)
+
+
+class TestAgainstNetworkx:
+    """Differential checks against networkx on LFR graphs."""
+
+    @pytest.fixture(params=[1, 2])
+    def pair(self, request):
+        nx = pytest.importorskip("networkx")
+        g = lfr_graph(request.param)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.node_count))
+        ref.add_edges_from(g.edges)
+        return g, ref
+
+    def test_degrees_and_neighbors(self, pair):
+        g, ref = pair
+        assert g.edge_count == ref.number_of_edges()
         for v in range(g.node_count):
-            assert lift.neighbors(v) == built.neighbors(v)
-            assert lift.strength(v) == built.strength(v)
+            assert g.degree(v) == ref.degree(v)
+            assert g.neighbors(v) == sorted(ref.neighbors(v))
+
+    def test_connected_components(self, pair):
+        nx = pytest.importorskip("networkx")
+        g, _ = pair
+        # Keep a random 30% of the edges so there are several components.
+        rng = random.Random(9)
+        kept = [e for e in g.edges if rng.random() < 0.3]
+        sparse = Graph(g.node_count, kept)
+        sparse_ref = nx.Graph(kept)
+        sparse_ref.add_nodes_from(range(g.node_count))
+        expected = sorted(sorted(c) for c in nx.connected_components(sparse_ref))
+        assert len(expected) > 1
+        assert sorted(connected_components(sparse).communities()) == expected
+
+    def test_edge_triangle_count(self, pair):
+        g, ref = pair
+        for u, v in g.edges:
+            assert edge_triangle_count(g, u, v) == len(set(ref[u]) & set(ref[v]))
+
+    def test_quotient_weights(self, pair):
+        g, ref = pair
+        rng = random.Random(4)
+        part = Partition.from_labels([rng.randrange(8) for _ in range(g.node_count)])
+        q = quotient_graph(g, part)
+        member = part.membership
+        loops = [0.0] * q.node_count
+        cross = {}
+        for u, v in ref.edges():
+            a, b = sorted((member[u], member[v]))
+            if a == b:
+                loops[a] += 2.0
+            else:
+                cross[(a, b)] = cross.get((a, b), 0.0) + 1.0
+        assert q.self_loops.tolist() == loops
+        assert q.edges == sorted(cross)
+        for a, b in q.edges:
+            row = q.neighbors(a)
+            assert q.weights[q.indptr[a] + row.index(b)] == cross[(a, b)]
 
 
 class TestPartition:
@@ -224,6 +307,12 @@ class TestIO:
         path = tmp_path / "p.membership"
         write_membership(part, path)
         assert read_membership(path) == part
+
+    def test_membership_rejects_negative_node_id(self, tmp_path):
+        path = tmp_path / "p.membership"
+        path.write_text("1 0\n-2 1\n")
+        with pytest.raises(ValueError, match="negative node id"):
+            read_membership(path)
 
     def test_membership_rejects_double_assignment(self, tmp_path):
         path = tmp_path / "p.membership"

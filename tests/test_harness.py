@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from commbench.graph import read_edge_list, read_membership
@@ -75,31 +78,55 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="mu grid"):
             SweepSpec(mu_grid=(0.0, 0.9, 0.1)).validate()
 
+    # Every SweepSpec field, with its parsed value; ints and floats are
+    # written so that a wrong conversion shows in the type or the value.
+    EVERY_FIELD = {
+        "node_counts": (100, 1000),
+        "avg_degrees": (5.0, 15.5),
+        "max_degree_factor": 2.5,
+        "gammas": (2.0, 3.0),
+        "betas": (1.0, 2.0),
+        "mu_grid": (0.1, 0.3, 0.1),
+        "replicates": 3,
+        "algorithms": ("louvain", "walktrap"),
+        "master_seed": 5,
+        "output_dir": "out/sweep",
+    }
+
+    def assert_every_field(self, spec):
+        assert {f.name for f in dataclasses.fields(SweepSpec)} == set(self.EVERY_FIELD)
+        for name, expected in self.EVERY_FIELD.items():
+            got = getattr(spec, name)
+            assert got == expected, name
+            items = zip(got, expected) if isinstance(expected, tuple) else [(got, expected)]
+            assert all(type(g) is type(e) for g, e in items), name
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(
-            '{"node_counts": [100], "avg_degrees": [5], "mu_grid": [0.1, 0.2, 0.1],'
-            ' "replicates": 3, "algorithms": ["louvain"], "master_seed": 5}'
+            '{"node_counts": [100, 1000], "avg_degrees": [5, 15.5], "max_degree_factor": 2.5,'
+            ' "gammas": [2, 3], "betas": [1, 2], "mu_grid": [0.1, 0.3, 0.1], "replicates": 3,'
+            ' "algorithms": ["louvain", "walktrap"], "master_seed": 5,'
+            ' "output_dir": "out/sweep"}'
         )
-        spec = SweepSpec.from_file(path)
-        assert spec.node_counts == (100,)
-        assert spec.replicates == 3
-        assert spec.algorithms == ("louvain",)
+        self.assert_every_field(SweepSpec.from_file(path))
 
     def test_from_key_value_file(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text(
             "# comment\n"
             "node_counts = 100, 1000\n"
-            "avg_degrees = 5\n"
+            "avg_degrees = 5, 15.5\n"
+            "max_degree_factor = 2.5\n"
+            "gammas = 2, 3\n"
+            "betas = 1, 2\n"
             "mu_grid = 0.1, 0.3, 0.1\n"
-            "replicates = 2\n"
+            "replicates = 3\n"
             "algorithms = louvain, walktrap\n"
+            "master_seed = 5\n"
+            "output_dir = out/sweep\n"
         )
-        spec = SweepSpec.from_file(path)
-        assert spec.node_counts == (100, 1000)
-        assert spec.mu_grid == (0.1, 0.3, 0.1)
-        assert spec.algorithms == ("louvain", "walktrap")
+        self.assert_every_field(SweepSpec.from_file(path))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "spec.txt"
@@ -309,3 +336,23 @@ class TestEmitPlotData:
         summaries = [make_summary()]
         with pytest.raises(ValueError, match="n="):
             emit_plot_data(summaries, "figure1", tmp_path / "f.dat", n=123)
+
+
+class TestPinnedRecords:
+    """A fixed-seed sweep of all nine detectors reproduces a checked-in
+    records.csv (runtime_ms cut out), byte for byte."""
+
+    PINNED = Path(__file__).parent / "data" / "pinned_records.csv"
+
+    def test_records_match_pinned_file(self, tmp_path):
+        spec = SweepSpec(
+            node_counts=(100,), avg_degrees=(5.0, 15.0), gammas=(2.0,), betas=(2.0,),
+            mu_grid=(0.1, 0.7, 0.3), replicates=1, master_seed=7,
+        )
+        outcome = run_sweep(spec)
+        records_path, _ = emit_csv(outcome.records, summarize(outcome.records), tmp_path)
+        lines = records_path.read_text().splitlines()
+        drop = lines[0].split(",").index("runtime_ms")
+        got = [",".join(f for i, f in enumerate(line.split(",")) if i != drop) for line in lines]
+        assert len(got) == 1 + 54
+        assert got == self.PINNED.read_text().splitlines()
