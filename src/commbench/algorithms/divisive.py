@@ -60,8 +60,10 @@ def radetal(graph: Graph) -> Partition:
     m = graph.edge_count
     four_m2 = 4.0 * m * m
 
-    adj = [set(graph.neighbors(v)) for v in range(n)]
-    deg = graph.degrees()
+    orig_adj = [graph.neighbors(v) for v in range(n)]
+    orig_deg = graph.degrees()
+    adj = [set(a) for a in orig_adj]
+    deg = list(orig_deg)
     tri = {}
     coeff = {}
     heap = []
@@ -94,11 +96,14 @@ def radetal(graph: Graph) -> Partition:
     best_q = q
     best_labels = labels.copy()
 
-    orig_adj = [graph.neighbors(v) for v in range(n)]
-
+    # Every live edge keeps an entry (c, u, v) with its current
+    # coefficient, and entries of different edges differ, so skipping a
+    # push that leaves c as it was does not change the pop order.
     def push_edge(u, v):
         key = (u, v) if u < v else (v, u)
         c = _coefficient(tri[key], deg[u], deg[v])
+        if c == coeff[key]:
+            return
         coeff[key] = c
         heapq.heappush(heap, (c, key[0], key[1]))
 
@@ -119,11 +124,17 @@ def radetal(graph: Graph) -> Partition:
             k2 = (v, w) if v < w else (w, v)
             tri[k1] -= 1
             tri[k2] -= 1
-        for w in adj[u]:
-            push_edge(u, w)
-        for w in adj[v]:
-            push_edge(v, w)
+        # (x, w) at x in {u, v} moves only if w lost a triangle or
+        # min(deg[x], deg[w]) fell with deg[x], i.e. deg[w] > deg[x] now.
+        for x in (u, v):
+            dx = deg[x]
+            for w in adj[x]:
+                if w in shared or deg[w] > dx:
+                    push_edge(x, w)
 
+        # A shared neighbour still joins u and v.
+        if shared:
+            continue
         split_side = _bidirectional_split(adj, u, v)
         if split_side is None:
             continue
@@ -132,7 +143,7 @@ def radetal(graph: Graph) -> Partition:
         comp_count += 1
         split_list = list(split_side)
         labels[split_list] = new
-        d_side = sum(graph.degree(x) for x in split_side)
+        d_side = sum(orig_deg[x] for x in split_side)
         within2 = 0
         cross = 0
         for x in split_side:

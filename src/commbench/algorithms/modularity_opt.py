@@ -27,7 +27,10 @@ class _Agglomeration:
     A community is named by one of its nodes. Heap entries end with
     (lo, hi, stamp[lo], stamp[hi]); each merge bumps both members'
     stamps, so an entry is current exactly while neither community has
-    changed since it was pushed. An instance runs once.
+    changed since it was pushed. Every adjacent pair keeps exactly one
+    current entry, and current entries are distinct tuples, so dropping
+    stale entries never changes which pair is merged next. An instance
+    runs once.
     """
 
     def __init__(self, graph):
@@ -43,11 +46,12 @@ class _Agglomeration:
         return self.links[a][b] / self.m - self.degree[a] * self.degree[b] / self.two_m2
 
     def run(self, heap, score, merged=None) -> Partition:
-        """Merge the pair of each current entry popped from `heap`, the
-        community with more neighbours surviving; call merged(survivor,
-        absorbed), then push score(survivor, x) + (lo, hi, stamps) for
-        each neighbour x, in neighbour-dict order. Returns the level of
-        maximal modularity, later levels winning ties."""
+        """Merge the pair of each current entry popped from `heap` (one
+        entry per adjacent pair, all with zero stamps), the community with
+        more neighbours surviving; call merged(survivor, absorbed), then
+        push score(survivor, x) + (lo, hi, stamps) for each neighbour x,
+        in neighbour-dict order. Returns the level of maximal modularity,
+        later levels winning ties."""
         n = len(self.links)
         links, degree = self.links, self.degree
         stamp = [0] * n
@@ -55,6 +59,7 @@ class _Agglomeration:
         best_q = q
         merges = []
         best_merges = 0
+        live = len(heap)  # adjacent pairs, each with one current entry
         heapq.heapify(heap)
         while heap:
             lo, hi, stamp_lo, stamp_hi = heapq.heappop(heap)[-4:]
@@ -65,9 +70,12 @@ class _Agglomeration:
             merges.append((a, b))
             wa, wb = links[a], links[b]
             links[b] = None
+            live -= 1
             for nbr, weight in wb.items():
                 if nbr == a:
                     continue
+                if nbr in wa:
+                    live -= 1
                 wa[nbr] = wa.get(nbr, 0.0) + weight
                 wn = links[nbr]
                 del wn[b]
@@ -84,6 +92,9 @@ class _Agglomeration:
             for nbr in wa:
                 lo, hi = (a, nbr) if a < nbr else (nbr, a)
                 heapq.heappush(heap, score(a, nbr) + (lo, hi, stamp[lo], stamp[hi]))
+            if len(heap) > 4 * live + 1024:
+                heap = [e for e in heap if stamp[e[-4]] == e[-2] and stamp[e[-3]] == e[-1]]
+                heapq.heapify(heap)
         # Backwards, each survivor already holds its final root when the
         # community it absorbed copies it.
         root = list(range(n))

@@ -77,6 +77,9 @@ def walktrap(graph: Graph, params) -> Partition:
     return _Agglomeration(graph).run(heap, score, merged)
 
 
+_MCL_BLOCK_COLUMNS = 250
+
+
 def markov_cluster(graph: Graph, params) -> Partition:
     """Expansion/inflation iteration on the column-stochastic transfer
     matrix (unit self-loops added); communities are the weakly connected
@@ -87,20 +90,27 @@ def markov_cluster(graph: Graph, params) -> Partition:
     ConvergenceWarning and uses the last iterate if the cap is reached.
     """
     params.validate()
-    matrix = graph.adjacency() + sp.identity(graph.node_count, format="csr")
+    n = graph.node_count
+    matrix = graph.adjacency() + sp.identity(n, format="csr")
     matrix = _column_normalize(matrix)
 
     converged = False
     for _ in range(params.mcl_max_iterations):
         previous = matrix
-        expanded = matrix
-        for _ in range(params.mcl_expansion - 1):
-            expanded = expanded @ matrix
-        matrix = expanded
-        matrix.data **= params.mcl_inflation
-        matrix = _column_normalize(matrix)
-        matrix = _prune(matrix, params.mcl_prune_threshold)
-        matrix = _column_normalize(matrix)
+        head = matrix
+        for _ in range(params.mcl_expansion - 2):
+            head = head @ matrix
+        # Every step after the last product is column-local, so expanding
+        # and pruning a block of columns at a time gives the same iterate
+        # without ever holding the unpruned square.
+        blocks = []
+        for start in range(0, n, _MCL_BLOCK_COLUMNS):
+            block = head @ matrix[:, start:start + _MCL_BLOCK_COLUMNS]
+            block.data **= params.mcl_inflation
+            block = _column_normalize(block)
+            block = _prune(block, params.mcl_prune_threshold)
+            blocks.append(_column_normalize(block))
+        matrix = sp.hstack(blocks, format="csc")
         delta = abs(matrix - previous)
         diff = delta.data.max() if delta.nnz else 0.0
         if diff < params.mcl_convergence_epsilon:

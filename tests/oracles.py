@@ -75,6 +75,122 @@ def singleton_modularity_direct(weighted):
     return q
 
 
+def _direct_q(graph, label):
+    """Q of the partition given by node labels, in one pass over the edges
+    (modularity_direct makes one pass per community)."""
+    m = graph.edge_count
+    inside = {}
+    degree = {}
+    for u, v in graph.edges:
+        if label[u] == label[v]:
+            inside[label[u]] = inside.get(label[u], 0) + 1
+        degree[label[u]] = degree.get(label[u], 0) + 1
+        degree[label[v]] = degree.get(label[v], 0) + 1
+    return sum(inside.get(c, 0) / m - (d / (2 * m)) ** 2 for c, d in degree.items())
+
+
+def fastgreedy_direct(graph):
+    """CNM greedy agglomeration with every step recomputed from scratch.
+
+    Each step counts the edges between every adjacent pair of communities
+    and merges the pair with the largest w/m - d_a d_b / (2 m^2), ties to
+    the smallest (lo, hi) pair of community names. A community is named by
+    a node; of the two, the one adjacent to more communities keeps its
+    name (lo on a tie). Returns the level of largest Q, later levels
+    winning ties.
+    """
+    n = graph.node_count
+    m = graph.edge_count
+    name = list(range(n))
+    best_q = _direct_q(graph, name)
+    best = list(name)
+    while True:
+        between = {}
+        degree = [0] * n
+        for u, v in graph.edges:
+            a, b = sorted((name[u], name[v]))
+            if a != b:
+                between[(a, b)] = between.get((a, b), 0) + 1
+            degree[a] += 1
+            degree[b] += 1
+        if not between:
+            break
+        _, lo, hi = min(
+            (-(w / m - degree[a] * degree[b] / (2.0 * m * m)), a, b)
+            for (a, b), w in between.items()
+        )
+        touching = [0] * n
+        for a, b in between:
+            touching[a] += 1
+            touching[b] += 1
+        keep, gone = (hi, lo) if touching[hi] > touching[lo] else (lo, hi)
+        name = [keep if c == gone else c for c in name]
+        q = _direct_q(graph, name)
+        if q >= best_q:
+            best_q = q
+            best = list(name)
+    return Partition.from_labels(best)
+
+
+def radetal_direct(graph):
+    """Radicchi et al. divisive clustering with every step recomputed from
+    scratch.
+
+    Each step computes every remaining edge's clustering coefficient,
+    (triangles + 1) / (smaller endpoint degree - 1), infinite when that
+    denominator is below 1, and removes the smallest (c, u, v). After each
+    removal the components are found again by search, and the original
+    graph's Q is scored on them. Returns the components of largest Q,
+    earlier levels winning ties.
+    """
+    n = graph.node_count
+    adj = [set() for _ in range(n)]
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def components():
+        label = [-1] * n
+        count = 0
+        for s in range(n):
+            if label[s] >= 0:
+                continue
+            label[s] = count
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if label[y] < 0:
+                        label[y] = count
+                        stack.append(y)
+            count += 1
+        return label, count
+
+    def coefficient(u, v):
+        low = min(len(adj[u]), len(adj[v])) - 1
+        if low < 1:
+            return math.inf
+        return (len(adj[u] & adj[v]) + 1) / low
+
+    label, count = components()
+    best_q = _direct_q(graph, label)
+    best = label
+    remaining = set(graph.edges)
+    while remaining:
+        _, u, v = min((coefficient(u, v), u, v) for u, v in remaining)
+        remaining.remove((u, v))
+        adj[u].remove(v)
+        adj[v].remove(u)
+        label, split_count = components()
+        if split_count > count:
+            count = split_count
+            q = _direct_q(graph, label)
+            if q > best_q:
+                best_q = q
+                best = label
+    return Partition.from_labels(best)
+
+
 def all_partitions(n):
     """Every set partition of range(n) as a membership list (restricted
     growth strings), Bell(n) of them."""

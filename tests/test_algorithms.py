@@ -30,16 +30,27 @@ from commbench.metrics import modularity, partition_nmi
 from conftest import clique_edges, make_clique_pair, make_ring_of_triangles
 from oracles import (
     connected_partitions,
+    fastgreedy_direct,
     map_equation_direct,
     max_modularity_bruteforce,
     max_modularity_connected,
     modularity_direct,
+    radetal_direct,
 )
 
 PARAMS = AlgoParams(seed=11)
 
 TWO_CLIQUES = Partition([0] * 5 + [1] * 5)
 RING_TRIANGLES = Partition([i // 3 for i in range(12)])
+
+
+# Seeded LFR graphs on which fastgreedy's heap rebuild fires 4 and 7 times
+# (counted once with a temporary counter in the merge engine), and on which
+# losing the best entry at a rebuild changes fastgreedy's partition.
+ORACLE_LFR = [
+    LfrConfig(n=300, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.4, seed=1),
+    LfrConfig(n=400, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.5, seed=2),
+]
 
 
 def random_connected_graph(n, rng):
@@ -81,6 +92,11 @@ class TestRadetal:
         with pytest.raises(ValueError):
             radetal(Graph(2, []))
 
+    @pytest.mark.parametrize("config", ORACLE_LFR, ids=lambda c: f"n{c.n}")
+    def test_matches_direct_oracle_on_lfr(self, config):
+        g = generate(config).graph
+        assert radetal(g) == radetal_direct(g)
+
 
 class TestFastgreedy:
     def test_disjoint_cliques(self, two_five_cliques):
@@ -92,6 +108,11 @@ class TestFastgreedy:
         best_q, best = max_modularity_connected(ring_of_triangles)
         assert partition_nmi(best, RING_TRIANGLES) == 1.0
         assert modularity(ring_of_triangles, got) == pytest.approx(best_q, abs=1e-12)
+
+    @pytest.mark.parametrize("config", ORACLE_LFR, ids=lambda c: f"n{c.n}")
+    def test_matches_direct_oracle_on_lfr(self, config):
+        g = generate(config).graph
+        assert fastgreedy(g) == fastgreedy_direct(g)
 
     def test_single_edge_merges(self):
         g = Graph(2, [(0, 1)])

@@ -342,17 +342,28 @@ class TestPinnedRecords:
     """A fixed-seed sweep of all nine detectors reproduces a checked-in
     records.csv (runtime_ms cut out), byte for byte."""
 
-    PINNED = Path(__file__).parent / "data" / "pinned_records.csv"
+    DATA = Path(__file__).parent / "data"
 
-    def test_records_match_pinned_file(self, tmp_path):
-        spec = SweepSpec(
-            node_counts=(100,), avg_degrees=(5.0, 15.0), gammas=(2.0,), betas=(2.0,),
-            mu_grid=(0.1, 0.7, 0.3), replicates=1, master_seed=7,
-        )
+    def check(self, tmp_path, name, records, **grid):
+        spec = SweepSpec(gammas=(2.0,), betas=(2.0,), replicates=1, master_seed=7, **grid)
         outcome = run_sweep(spec)
         records_path, _ = emit_csv(outcome.records, summarize(outcome.records), tmp_path)
         lines = records_path.read_text().splitlines()
         drop = lines[0].split(",").index("runtime_ms")
         got = [",".join(f for i, f in enumerate(line.split(",")) if i != drop) for line in lines]
-        assert len(got) == 1 + 54
-        assert got == self.PINNED.read_text().splitlines()
+        assert len(got) == 1 + records
+        assert got == (self.DATA / name).read_text().splitlines()
+
+    def test_records_match_pinned_file(self, tmp_path):
+        self.check(
+            tmp_path, "pinned_records.csv", 54,
+            node_counts=(100,), avg_degrees=(5.0, 15.0), mu_grid=(0.1, 0.7, 0.3),
+        )
+
+    def test_n1000_records_match_pinned_file(self, tmp_path):
+        """Large enough that the merge engine's heap rebuild fires in
+        fastgreedy and walktrap."""
+        self.check(
+            tmp_path, "pinned_records_n1000.csv", 9,
+            node_counts=(1000,), avg_degrees=(15.0,), mu_grid=(0.4, 0.4, 0.1),
+        )
