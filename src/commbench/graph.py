@@ -272,6 +272,8 @@ def read_membership(path):
         raise ValueError("empty membership file")
     if any(v < 0 for v, _ in pairs):
         raise ValueError(f"negative node id {min(v for v, _ in pairs)}")
+    if any(c < 0 for _, c in pairs):
+        raise ValueError(f"negative community id {min(c for _, c in pairs)}")
     n = max(v for v, _ in pairs) + 1
     member = [-1] * n
     for v, cid in pairs:

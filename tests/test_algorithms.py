@@ -22,7 +22,7 @@ from commbench.algorithms import (
 from commbench.algorithms.information import description_length
 from commbench.algorithms.random_walk import _column_normalize, _prune
 from commbench.algorithms.spectral import _DENSE_MAX_SIZE, _GroupMatrix, _try_split
-from commbench.graph import Graph, Partition, edge_triangle_count
+from commbench.graph import Graph, Partition, connected_components, edge_triangle_count
 from commbench.harness import SweepSpec, run_sweep
 from commbench.lfr import LfrConfig, generate
 from commbench.metrics import modularity, partition_nmi
@@ -62,8 +62,6 @@ def random_connected_graph(n, rng):
         if not edges:
             continue
         g = Graph(n, edges)
-        from commbench.graph import connected_components
-
         if connected_components(g).num_communities == 1:
             return g
 
@@ -96,6 +94,48 @@ class TestRadetal:
     def test_matches_direct_oracle_on_lfr(self, config):
         g = generate(config).graph
         assert radetal(g) == radetal_direct(g)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_matches_direct_oracle_on_many_components(self, seed):
+        # Sparse random graphs: several starting components, isolated nodes.
+        rng = random.Random(seed)
+        n = 120
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.025
+        ]
+        g = Graph(n, edges)
+        assert connected_components(g).num_communities >= 3
+        assert 0 in g.degrees()
+        assert radetal(g) == radetal_direct(g)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_matches_direct_oracle_with_pendant_edges(self, seed):
+        # Cliques with a random tree hung on them: every leaf edge has an
+        # infinite coefficient, and the tree edges have no triangles.
+        rng = random.Random(seed)
+        edges = clique_edges(range(6)) + clique_edges(range(6, 11))
+        edges.append((5, 6))
+        n = 11
+        for _ in range(40):
+            edges.append((rng.randrange(n), n))
+            n += 1
+        g = Graph(n, edges)
+        assert sum(1 for d in g.degrees() if d == 1) >= 10
+        assert radetal(g) == radetal_direct(g)
+
+    @pytest.mark.parametrize("count, size", [(4, 4), (6, 5), (5, 3)])
+    def test_matches_direct_oracle_on_ring_of_cliques(self, count, size):
+        # Identical cliques, each joined to the next by one edge: every
+        # coefficient ties with its images under rotation.
+        edges = []
+        for i in range(count):
+            base = i * size
+            edges += clique_edges(range(base, base + size))
+            edges.append((base + size - 1, ((i + 1) % count) * size))
+        g = Graph(count * size, edges)
+        got = radetal(g)
+        assert got == radetal_direct(g)
+        assert got == Partition([v // size for v in range(count * size)])
 
 
 class TestFastgreedy:

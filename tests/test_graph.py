@@ -314,6 +314,15 @@ class TestIO:
         with pytest.raises(ValueError, match="negative node id"):
             read_membership(path)
 
+    @pytest.mark.parametrize(
+        "text", ["0 -1\n0 2\n1 2\n", "0 -1\n1 0\n"], ids=["node-twice", "one-per-node"]
+    )
+    def test_membership_rejects_negative_community_id(self, tmp_path, text):
+        path = tmp_path / "p.membership"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="negative community id -1"):
+            read_membership(path)
+
     def test_membership_rejects_double_assignment(self, tmp_path):
         path = tmp_path / "p.membership"
         path.write_text("0 0\n0 1\n1 0\n")
