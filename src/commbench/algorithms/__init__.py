@@ -38,17 +38,24 @@ class AlgoParams:
     seed: int = 0
 
     def validate(self):
-        if self.walktrap_t < 1:
-            raise ValueError("walktrap_t must be >= 1")
-        if self.eigen_max_iterations < 1:
-            raise ValueError("eigen_max_iterations must be >= 1")
+        for name in (
+            "walktrap_t", "eigen_max_iterations", "spinglass_max_spins",
+            "sa_sweeps_per_temperature", "lp_max_rounds", "mcl_max_iterations",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.mcl_expansion < 2 or int(self.mcl_expansion) != self.mcl_expansion:
             raise ValueError("mcl_expansion must be an integer >= 2")
         if self.mcl_inflation <= 1.0:
             raise ValueError("mcl_inflation must be > 1")
         if not 0.0 < self.sa_cooling_factor < 1.0:
             raise ValueError("sa_cooling_factor must be in (0,1)")
-        for name in ("mcl_prune_threshold", "mcl_convergence_epsilon", "eigen_tolerance"):
+        if self.sa_initial_temperature <= self.sa_min_temperature:
+            raise ValueError("sa_initial_temperature must be > sa_min_temperature")
+        for name in (
+            "mcl_prune_threshold", "mcl_convergence_epsilon", "eigen_tolerance",
+            "sa_min_temperature",
+        ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

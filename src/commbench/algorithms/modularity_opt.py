@@ -204,17 +204,30 @@ def spinglass(graph: Graph, params) -> Partition:
     energies are scaled by 2m (the natural coupling of the spin model) so
     the default temperature range brackets them. Returns the best-energy
     assignment seen, compacted over occupied spins.
+
+    `count[v * q + s]` is the number of v's neighbours holding spin s, so a
+    proposal reads both of its edge counts in O(1); an accepted flip moves
+    one unit between two counts at each neighbour of the flipped node.
+    Each draw below k inlines the loop of CPython's `randrange(k)`:
+    `getrandbits(k.bit_length())`, drawn again while it is >= k, so the
+    random stream and every result are those of `rng.randrange(k)`.
     """
     _require_edges(graph)
     params.validate()
     rng = random.Random(params.seed)
+    getrandbits = rng.getrandbits
     n = graph.node_count
     m = graph.edge_count
     q_spins = min(params.spinglass_max_spins, n)
     adj = [graph.neighbors(v) for v in range(n)]
     deg = graph.degrees()
+    n_bits, q_bits = n.bit_length(), q_spins.bit_length()
+    deg_bits = [k.bit_length() for k in deg]
 
     spins = [rng.randrange(q_spins) for _ in range(n)]
+    count = np.bincount(
+        graph.rows() * q_spins + np.array(spins)[graph.indices], minlength=n * q_spins
+    ).tolist()
     d_sum = [0.0] * q_spins
     for v in range(n):
         d_sum[spins[v]] += deg[v]
@@ -227,29 +240,33 @@ def spinglass(graph: Graph, params) -> Partition:
     inv_m = 1.0 / m
     while temp > params.sa_min_temperature:
         for _ in range(proposals_per_temp):
-            v = rng.randrange(n)
-            nbrs = adj[v]
-            if nbrs and rng.random() < 0.9:
-                target = spins[nbrs[rng.randrange(len(nbrs))]]
+            v = getrandbits(n_bits)
+            while v >= n:
+                v = getrandbits(n_bits)
+            k_v = deg[v]
+            if k_v and rng.random() < 0.9:
+                r = getrandbits(deg_bits[v])
+                while r >= k_v:
+                    r = getrandbits(deg_bits[v])
+                target = spins[adj[v][r]]
             else:
-                target = rng.randrange(q_spins)
+                target = getrandbits(q_bits)
+                while target >= q_spins:
+                    target = getrandbits(q_bits)
             cur = spins[v]
             if target == cur:
                 continue
-            e_cur = 0
-            e_tgt = 0
-            for u in nbrs:
-                su = spins[u]
-                if su == cur:
-                    e_cur += 1
-                elif su == target:
-                    e_tgt += 1
-            k_v = deg[v]
-            gain2m = 2.0 * (e_tgt - e_cur) - k_v * (d_sum[target] - (d_sum[cur] - k_v)) * inv_m
+            row = v * q_spins
+            e_gain = count[row + target] - count[row + cur]
+            gain2m = 2.0 * e_gain - k_v * (d_sum[target] - (d_sum[cur] - k_v)) * inv_m
             if gain2m >= 0.0 or rng.random() < math.exp(gain2m / temp):
                 spins[v] = target
                 d_sum[cur] -= k_v
                 d_sum[target] += k_v
+                for u in adj[v]:
+                    row = u * q_spins
+                    count[row + cur] -= 1
+                    count[row + target] += 1
                 q_val += gain2m / (2.0 * m)
                 if q_val > best_q + 1e-12:
                     best_q = q_val

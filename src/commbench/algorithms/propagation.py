@@ -33,6 +33,7 @@ def label_propagation(graph: Graph, params) -> Partition:
     neighborhood) or after lp_max_rounds, in which case a
     ConvergenceWarning is emitted and the current labels are returned.
     """
+    params.validate()
     n = graph.node_count
     rng = random.Random(params.seed)
     adj = [graph.neighbors(v) for v in range(n)]

@@ -16,6 +16,9 @@ from . import ConvergenceWarning
 from .modularity_opt import _Agglomeration
 
 
+_SIGMA_BLOCK_ROWS = 256
+
+
 def walktrap(graph: Graph, params) -> Partition:
     """Agglomerative clustering on t-step random-walk profiles.
 
@@ -24,6 +27,12 @@ def walktrap(graph: Graph, params) -> Partition:
     Ward-style increase of the mean squared distance; the dendrogram level
     of maximal modularity is returned. Isolated nodes stay singleton
     communities.
+
+    P^t comes from sparse products (`_walk_power`). Each community keeps
+    its summed profile and its mean profile, refreshed for the survivor
+    of each merge only, so a direct distance is one row difference and
+    one dot product. The initial edge distances are taken in row blocks,
+    still with one dot product per edge.
     """
     if graph.edge_count == 0:
         raise ValueError("needs at least one edge")
@@ -32,26 +41,29 @@ def walktrap(graph: Graph, params) -> Partition:
     n = graph.node_count
     deg = np.asarray(graph.degrees(), dtype=float)
     inv_d = np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
-
-    adjacency = graph.adjacency().toarray()
-    walk = adjacency * inv_d[:, None]
-    profile = np.linalg.matrix_power(walk, params.walktrap_t)
-    del adjacency, walk
+    profile = _walk_power(graph, inv_d, params.walktrap_t)
 
     # Community state, indexed by representative node id. `profile` rows
-    # are reused in place as per-community probability sums.
+    # are reused in place as per-community probability sums, and mean[c]
+    # is profile[c] / size[c]: the row itself while c is a singleton.
     size = [1] * n
+    mean = list(profile)
 
     def direct_sigma(a, b):
-        diff = profile[a] / size[a] - profile[b] / size[b]
+        diff = mean[a] - mean[b]
         return size[a] * size[b] / (size[a] + size[b]) * float(diff @ (diff * inv_d)) / n
 
     sigma = {}
     heap = []
-    for u, v in graph.edges:
-        sig = direct_sigma(u, v)
-        sigma[(u, v)] = sig
-        heap.append((sig, rng.random(), u, v, 0, 0))
+    edges = graph.edges
+    ends = np.array(edges)
+    for start in range(0, len(edges), _SIGMA_BLOCK_ROWS):
+        block = slice(start, start + _SIGMA_BLOCK_ROWS)
+        diff = profile[ends[block, 0]] - profile[ends[block, 1]]
+        for (u, v), row, weighted in zip(edges[block], diff, diff * inv_d):
+            sig = 0.5 * float(row @ weighted) / n  # direct_sigma(u, v): 1 * 1 / (1 + 1)
+            sigma[(u, v)] = sig
+            heap.append((sig, rng.random(), u, v, 0, 0))
     last = None  # (absorbed, size_a, size_b, sigma_ab) of the latest merge
 
     def merged(a, b):
@@ -59,6 +71,8 @@ def walktrap(graph: Graph, params) -> Partition:
         last = (b, size[a], size[b], sigma.pop((a, b) if a < b else (b, a)))
         profile[a] += profile[b]
         size[a] += size[b]
+        mean[a] = profile[a] / size[a]
+        mean[b] = None
 
     def score(a, x):
         b, size_a, size_b, sigma_ab = last
@@ -75,6 +89,20 @@ def walktrap(graph: Graph, params) -> Partition:
         return s_new, rng.random()
 
     return _Agglomeration(graph).run(heap, score, merged)
+
+
+def _walk_power(graph: Graph, inv_d, t):
+    """P^t as a dense array, where P = D^-1 A is the random-walk matrix
+    (inv_d holds 1/degree, 0 at isolated nodes, whose rows stay zero):
+    t - 1 products of the CSR walk matrix with a dense iterate."""
+    walk = sp.csr_matrix(
+        (graph.weights * np.repeat(inv_d, np.diff(graph.indptr)), graph.indices, graph.indptr),
+        shape=(graph.node_count, graph.node_count),
+    )
+    power = walk.toarray()
+    for _ in range(t - 1):
+        power = walk @ power
+    return power
 
 
 _MCL_BLOCK_COLUMNS = 250

@@ -142,7 +142,11 @@ def _cmd_detect(args):
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("default")
-        partition = ALGORITHMS[args.algorithm](graph, params)
+        try:
+            partition = ALGORITHMS[args.algorithm](graph, params)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     runtime_ms = (time.perf_counter() - start) * 1e3
     write_membership(partition, args.out)
     print(

@@ -20,7 +20,7 @@ from commbench.algorithms import (
     walktrap,
 )
 from commbench.algorithms.information import description_length
-from commbench.algorithms.random_walk import _column_normalize, _prune
+from commbench.algorithms.random_walk import _column_normalize, _prune, _walk_power
 from commbench.algorithms.spectral import _DENSE_MAX_SIZE, _GroupMatrix, _try_split
 from commbench.graph import Graph, Partition, connected_components, edge_triangle_count
 from commbench.harness import SweepSpec, run_sweep
@@ -36,6 +36,7 @@ from oracles import (
     max_modularity_connected,
     modularity_direct,
     radetal_direct,
+    spinglass_direct,
 )
 
 PARAMS = AlgoParams(seed=11)
@@ -53,6 +54,14 @@ ORACLE_LFR = [
 ]
 
 
+def sparse_graph_with_isolated_nodes(n, p, seed):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    g = Graph(n, edges)
+    assert 0 in g.degrees()
+    return g
+
+
 def random_connected_graph(n, rng):
     while True:
         p = rng.uniform(0.25, 0.7)
@@ -64,6 +73,43 @@ def random_connected_graph(n, rng):
         g = Graph(n, edges)
         if connected_components(g).num_communities == 1:
             return g
+
+
+class TestAlgoParams:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "walktrap_t", "eigen_max_iterations", "spinglass_max_spins",
+            "sa_sweeps_per_temperature", "lp_max_rounds", "mcl_max_iterations",
+        ],
+    )
+    def test_rejects_count_below_one(self, field):
+        AlgoParams(**{field: 1}).validate()
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            AlgoParams(**{field: 0}).validate()
+
+    @pytest.mark.parametrize("low", [0.0, -0.5])
+    def test_rejects_non_positive_min_temperature(self, low):
+        with pytest.raises(ValueError, match="sa_min_temperature must be positive"):
+            AlgoParams(sa_min_temperature=low).validate()
+
+    @pytest.mark.parametrize("initial", [0.01, 0.005])
+    def test_rejects_initial_temperature_not_above_min(self, initial):
+        with pytest.raises(ValueError, match="sa_initial_temperature must be > sa_min_temperature"):
+            AlgoParams(sa_initial_temperature=initial, sa_min_temperature=0.01).validate()
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("spinglass", "spinglass_max_spins"),
+            ("spinglass", "sa_sweeps_per_temperature"),
+            ("label_propagation", "lp_max_rounds"),
+            ("markov_cluster", "mcl_max_iterations"),
+        ],
+    )
+    def test_detector_rejects_zero_count(self, two_five_cliques, name, field):
+        with pytest.raises(ValueError, match=field):
+            ALGORITHMS[name](two_five_cliques, AlgoParams(**{field: 0}))
 
 
 class TestRadetal:
@@ -98,14 +144,8 @@ class TestRadetal:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_matches_direct_oracle_on_many_components(self, seed):
         # Sparse random graphs: several starting components, isolated nodes.
-        rng = random.Random(seed)
-        n = 120
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.025
-        ]
-        g = Graph(n, edges)
+        g = sparse_graph_with_isolated_nodes(120, 0.025, seed)
         assert connected_components(g).num_communities >= 3
-        assert 0 in g.degrees()
         assert radetal(g) == radetal_direct(g)
 
     @pytest.mark.parametrize("seed", [6, 7])
@@ -200,6 +240,41 @@ class TestSpinglass:
             best_q, _ = max_modularity_bruteforce(g)
             q_out = modularity(g, spinglass(g, AlgoParams(seed=seed)))
             assert q_out <= best_q + 1e-12
+
+    @pytest.mark.parametrize(
+        "graph, params",
+        [
+            pytest.param(lambda: generate(ORACLE_LFR[0]).graph, AlgoParams(seed=3), id="lfr-n300"),
+            pytest.param(
+                lambda: generate(
+                    LfrConfig(n=1000, avg_degree=15, max_degree=45, gamma=2, beta=1, mu=0.5, seed=4)
+                ).graph,
+                AlgoParams(seed=5),
+                id="lfr-n1000",
+            ),
+            pytest.param(
+                lambda: sparse_graph_with_isolated_nodes(150, 0.02, 8), AlgoParams(seed=1),
+                id="isolated-nodes",
+            ),
+            pytest.param(
+                lambda: make_clique_pair(6, bridged=True), AlgoParams(seed=2),
+                id="fewer-nodes-than-spins",
+            ),
+        ]
+        + [
+            pytest.param(
+                lambda: generate(ORACLE_LFR[1]).graph,
+                AlgoParams(seed=6, spinglass_max_spins=q),
+                id=f"spins-{q}",
+            )
+            for q in (1, 2, 16, 17)
+        ],
+    )
+    def test_matches_direct_oracle(self, graph, params):
+        # Bit-length draws near powers of two (1, 2, 16, 17 spins), nodes
+        # with no neighbour to copy a spin from, and q capped at n = 12.
+        g = graph()
+        assert spinglass(g, params) == spinglass_direct(g, params)
 
 
 class TestLeadingEigenvector:
@@ -308,6 +383,26 @@ class TestWalktrap:
         assert got.membership[3] != got.membership[4]
         assert got.community_sizes.count(1) == 2
 
+    @pytest.mark.parametrize("t", [1, 4])
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(lambda: generate(ORACLE_LFR[0]).graph, id="lfr-n300"),
+            pytest.param(lambda: sparse_graph_with_isolated_nodes(150, 0.02, 8), id="isolated"),
+        ],
+    )
+    def test_walk_power_matches_dense_matrix_power(self, graph, t):
+        g = graph()
+        deg = np.asarray(g.degrees(), dtype=float)
+        inv_d = np.divide(1.0, deg, out=np.zeros(len(deg)), where=deg > 0)
+        walk = np.zeros((g.node_count, g.node_count))
+        for u, v in g.edges:
+            walk[u, v] = inv_d[u]
+            walk[v, u] = inv_d[v]
+        got = _walk_power(g, inv_d, t)
+        np.testing.assert_allclose(got, np.linalg.matrix_power(walk, t), rtol=0, atol=1e-15)
+        assert not got[deg == 0].any()
+
 
 class TestMarkovCluster:
     def test_disjoint_cliques(self, two_five_cliques):
@@ -409,9 +504,11 @@ class TestLabelPropagation:
                 assert counts.get(member[v], 0) == max(counts.values())
 
     def test_round_cap_reports(self):
-        g = make_clique_pair(3, bridged=True)
-        with pytest.warns(ConvergenceWarning):
-            label_propagation(g, AlgoParams(seed=0, lp_max_rounds=0))
+        # One round (the smallest valid cap) leaves this graph short of a
+        # fixed point at seed 0.
+        g = make_clique_pair(5, bridged=True)
+        with pytest.warns(ConvergenceWarning, match=r"round cap \(1\)"):
+            label_propagation(g, AlgoParams(seed=0, lp_max_rounds=1))
 
 
 class TestCrossCutting:

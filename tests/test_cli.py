@@ -56,6 +56,26 @@ class TestDetectCommand:
         assert rc == 0
 
 
+    @pytest.mark.parametrize(
+        "algorithm, flag, message",
+        [
+            ("spinglass", "--spinglass-max-spins", "spinglass_max_spins must be >= 1"),
+            ("label_propagation", "--lp-max-rounds", "lp_max_rounds must be >= 1"),
+            ("spinglass", "--sa-min-temperature", "sa_min_temperature must be positive"),
+        ],
+    )
+    def test_invalid_parameter_exits_with_message(
+        self, generated, tmp_path, capsys, algorithm, flag, message
+    ):
+        out = tmp_path / "bad.membership"
+        rc = main([
+            "detect", "--edges", f"{generated}.edges", "--node-count", "120",
+            "--algorithm", algorithm, flag, "0", "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_algo_param_has_a_typed_flag(self, generated, tmp_path, monkeypatch):
         seen = []
 
