@@ -208,6 +208,8 @@ def spinglass(graph: Graph, params) -> Partition:
     `count[v * q + s]` is the number of v's neighbours holding spin s, so a
     proposal reads both of its edge counts in O(1); an accepted flip moves
     one unit between two counts at each neighbour of the flipped node.
+    The table holds n * q entries, q = min(spinglass_max_spins, n): small
+    at the default cap of 25, about 200 MB at n = q = 5000.
     Each draw below k inlines the loop of CPython's `randrange(k)`:
     `getrandbits(k.bit_length())`, drawn again while it is >= k, so the
     random stream and every result are those of `rng.randrange(k)`.
@@ -225,9 +227,11 @@ def spinglass(graph: Graph, params) -> Partition:
     deg_bits = [k.bit_length() for k in deg]
 
     spins = [rng.randrange(q_spins) for _ in range(n)]
-    count = np.bincount(
-        graph.rows() * q_spins + np.array(spins)[graph.indices], minlength=n * q_spins
-    ).tolist()
+    count = [0] * (n * q_spins)
+    for v in range(n):
+        row = v * q_spins
+        for u in adj[v]:
+            count[row + spins[u]] += 1
     d_sum = [0.0] * q_spins
     for v in range(n):
         d_sum[spins[v]] += deg[v]

@@ -16,9 +16,6 @@ from . import ConvergenceWarning
 from .modularity_opt import _Agglomeration
 
 
-_SIGMA_BLOCK_ROWS = 256
-
-
 def walktrap(graph: Graph, params) -> Partition:
     """Agglomerative clustering on t-step random-walk profiles.
 
@@ -31,8 +28,7 @@ def walktrap(graph: Graph, params) -> Partition:
     P^t comes from sparse products (`_walk_power`). Each community keeps
     its summed profile and its mean profile, refreshed for the survivor
     of each merge only, so a direct distance is one row difference and
-    one dot product. The initial edge distances are taken in row blocks,
-    still with one dot product per edge.
+    one dot product.
     """
     if graph.edge_count == 0:
         raise ValueError("needs at least one edge")
@@ -55,15 +51,10 @@ def walktrap(graph: Graph, params) -> Partition:
 
     sigma = {}
     heap = []
-    edges = graph.edges
-    ends = np.array(edges)
-    for start in range(0, len(edges), _SIGMA_BLOCK_ROWS):
-        block = slice(start, start + _SIGMA_BLOCK_ROWS)
-        diff = profile[ends[block, 0]] - profile[ends[block, 1]]
-        for (u, v), row, weighted in zip(edges[block], diff, diff * inv_d):
-            sig = 0.5 * float(row @ weighted) / n  # direct_sigma(u, v): 1 * 1 / (1 + 1)
-            sigma[(u, v)] = sig
-            heap.append((sig, rng.random(), u, v, 0, 0))
+    for u, v in graph.edges:
+        sig = direct_sigma(u, v)
+        sigma[(u, v)] = sig
+        heap.append((sig, rng.random(), u, v, 0, 0))
     last = None  # (absorbed, size_a, size_b, sigma_ab) of the latest merge
 
     def merged(a, b):
@@ -95,10 +86,9 @@ def _walk_power(graph: Graph, inv_d, t):
     """P^t as a dense array, where P = D^-1 A is the random-walk matrix
     (inv_d holds 1/degree, 0 at isolated nodes, whose rows stay zero):
     t - 1 products of the CSR walk matrix with a dense iterate."""
-    walk = sp.csr_matrix(
-        (graph.weights * np.repeat(inv_d, np.diff(graph.indptr)), graph.indices, graph.indptr),
-        shape=(graph.node_count, graph.node_count),
-    )
+    # Row scaling that keeps the adjacency's sorted column order, which
+    # fixes the summation order of every product below.
+    walk = graph.adjacency().multiply(inv_d[:, None]).tocsr()
     power = walk.toarray()
     for _ in range(t - 1):
         power = walk @ power
