@@ -229,11 +229,7 @@ def configuration_model(degrees, rng) -> Graph:
     stubs = np.repeat(np.arange(n), degrees)
     rng.shuffle(stubs)
     m = len(stubs) // 2
-    edges = [
-        (int(stubs[2 * i]), int(stubs[2 * i + 1]))
-        for i in range(m)
-    ]
-    edges = [(u, v) if u <= v else (v, u) for u, v in edges]
+    edges = list(map(tuple, np.sort(stubs.reshape(-1, 2), axis=1).tolist()))
 
     count = {}
     for e in edges:
@@ -371,12 +367,46 @@ def assign_communities(degrees, sizes, mu, rng) -> Partition:
     return Partition(member_of)
 
 
+def _buffered_below(rng):
+    """Return `below(k)`, equal to `int(rng.integers(k))` for 1 <= k < 2**32
+    and consuming the same 32-bit words of `rng`, bit for bit.
+
+    Words come from `rng` in blocks of 4096, a half word cached by the bit
+    generator first, and each draw applies numpy's Lemire step to them.
+    k == 1 returns 0 without a word, as numpy does. Because whole blocks are
+    drawn ahead, `rng` is left in a different state than the scalar draws
+    would leave it in; use this only where `rng` is not drawn from again.
+    """
+    def words():
+        while True:
+            yield from rng.integers(0, 1 << 32, size=4096, dtype=np.uint32).tolist()
+
+    word = words().__next__
+
+    def below(k):
+        if k == 1:
+            return 0
+        m = word() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = ((1 << 32) - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = word() * k
+        return m >> 32
+
+    return below
+
+
 def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -> Graph:
     """Degree-preserving double-edge swaps until the per-node average
     inter-community link fraction is within mixing_tolerance of config.mu.
 
     Emits MixingToleranceWarning (and returns the best-effort graph) if the
     swap budget runs out first.
+
+    Picks are drawn with `_buffered_below`: the swaps and the result are
+    those of one scalar `int(rng.integers(k))` per pick, but `rng` has drawn
+    ahead when this returns, so its state differs from the one those scalar
+    draws would leave.
     """
     if planted.node_count != graph.node_count:
         raise ValueError("partition does not cover the graph's node set")
@@ -402,49 +432,51 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
     # ratio_sum tracks sum over nodes of ext(v)/deg(v); mu_hat = ratio_sum/active.
     ratio_sum = 0.0
     inter_idx, intra_idx = [], []
-    inter_pos = {}
-    intra_pos = {}
     # Inter-community edges indexed by incident community: lets the
     # reduction direction pick partners that are guaranteed to close an
     # intra-community edge.
     by_comm = [[] for _ in range(planted.num_communities)]
-    by_comm_pos = {}
+    # pos[i]: edge i's slot in inter_idx or intra_idx. cpos[2i], cpos[2i+1]:
+    # its slots in by_comm of its first and second endpoint's community.
+    pos = [0] * m
+    cpos = [0] * (2 * m)
 
     def add(i):
         u, v = edges[i]
         cu, cv = member[u], member[v]
         if cu != cv:
-            inter_pos[i] = len(inter_idx)
+            pos[i] = len(inter_idx)
             inter_idx.append(i)
-            for c in (cu, cv):
-                by_comm_pos[(i, c)] = len(by_comm[c])
+            for c, k in ((cu, 2 * i), (cv, 2 * i + 1)):
+                cpos[k] = len(by_comm[c])
                 by_comm[c].append(i)
         else:
-            intra_pos[i] = len(intra_idx)
+            pos[i] = len(intra_idx)
             intra_idx.append(i)
 
     def drop(i):
         u, v = edges[i]
         cu, cv = member[u], member[v]
         if cu != cv:
-            pos = inter_pos.pop(i)
+            slot = pos[i]
             last = inter_idx.pop()
             if last != i:
-                inter_idx[pos] = last
-                inter_pos[last] = pos
-            for c in (cu, cv):
-                pos = by_comm_pos.pop((i, c))
+                inter_idx[slot] = last
+                pos[last] = slot
+            for c, k in ((cu, 2 * i), (cv, 2 * i + 1)):
                 lst = by_comm[c]
+                slot = cpos[k]
                 last = lst.pop()
                 if last != i:
-                    lst[pos] = last
-                    by_comm_pos[(last, c)] = pos
+                    lst[slot] = last
+                    # The moved edge is inter, so exactly one end is in c.
+                    cpos[2 * last + (member[edges[last][0]] != c)] = slot
         else:
-            pos = intra_pos.pop(i)
+            slot = pos[i]
             last = intra_idx.pop()
             if last != i:
-                intra_idx[pos] = last
-                intra_pos[last] = pos
+                intra_idx[slot] = last
+                pos[last] = slot
 
     for i, (u, v) in enumerate(edges):
         add(i)
@@ -465,6 +497,7 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                 delta += inv_deg[u] + inv_deg[v]
         return delta
 
+    below = _buffered_below(rng)
     budget = config.max_rewire_iterations if config.max_rewire_iterations else 50 * m
     # Drive the gap well inside the tolerance band rather than stopping at
     # its edge; the budget is checked against the full tolerance below.
@@ -475,28 +508,28 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
             # inter edges.
             if len(intra_idx) < 2:
                 break
-            i = intra_idx[int(rng.integers(len(intra_idx)))]
-            j = intra_idx[int(rng.integers(len(intra_idx)))]
+            i = intra_idx[below(len(intra_idx))]
+            j = intra_idx[below(len(intra_idx))]
             a, b = edges[i]
             c, d = edges[j]
             if member[a] == member[c] or len({a, b, c, d}) < 4:
                 continue
-            if int(rng.integers(2)):
+            if below(2):
                 c, d = d, c
         else:
             # Pair an inter edge with another inter edge touching the same
             # community, closing one intra edge there.
             if len(inter_idx) < 2:
                 break
-            i = inter_idx[int(rng.integers(len(inter_idx)))]
+            i = inter_idx[below(len(inter_idx))]
             a, b = edges[i]
-            if int(rng.integers(2)):
+            if below(2):
                 a, b = b, a
             focus = member[a]
             pool = by_comm[focus]
             if len(pool) < 2:
                 continue
-            j = pool[int(rng.integers(len(pool)))]
+            j = pool[below(len(pool))]
             if j == i:
                 continue
             c, d = edges[j]

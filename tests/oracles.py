@@ -1,14 +1,17 @@
 """Independent reference implementations used to validate the library.
 
 Everything here is deliberately naive: direct summation, exhaustive
-enumeration, brute-force search. None of it shares code with the package.
+enumeration, brute-force search, one scalar draw at a time. None of it
+shares an algorithm's code with the package.
 """
 
 import itertools
 import math
 import random
+import warnings
 
-from commbench.graph import Partition
+from commbench.graph import Graph, Partition
+from commbench.lfr import MixingToleranceWarning
 
 
 def nmi_direct(counts):
@@ -402,3 +405,167 @@ def map_equation_direct(graph, partition):
         length += plogp(q + sum(p_node[v] for v in nodes))
     length -= sum(plogp(p) for p in p_node)
     return length
+
+
+def rewire_direct(graph, planted, config, rng):
+    """Reference for `lfr.rewire_to_mixing`: the same swap loop, drawing
+    one scalar `rng.integers` at a time and keeping each edge's list slots
+    in dicts keyed by edge (and by (edge, community) for the per-community
+    inter-edge lists). Same draws, same accept decisions, same result."""
+    if planted.node_count != graph.node_count:
+        raise ValueError("partition does not cover the graph's node set")
+    n = graph.node_count
+    m = graph.edge_count
+    limit = (n - max(planted.community_sizes)) / n
+    if config.mu > limit and not config.allow_mu_beyond_limit:
+        raise ValueError(
+            f"target mu={config.mu} exceeds mu_limit={limit:.4f}; no significant "
+            f"community structure is possible in this regime"
+        )
+    target = config.mu
+    tol = config.mixing_tolerance
+    member = planted.membership
+    deg = graph.degrees()
+    inv_deg = [1.0 / d if d else 0.0 for d in deg]
+    active = sum(1 for d in deg if d > 0)
+    if active == 0:
+        raise ValueError("cannot rewire an edgeless graph")
+
+    edges = list(graph.edges)
+    edge_set = set(edges)
+    # ratio_sum tracks sum over nodes of ext(v)/deg(v); mu_hat = ratio_sum/active.
+    ratio_sum = 0.0
+    inter_idx, intra_idx = [], []
+    inter_pos = {}
+    intra_pos = {}
+    # Inter-community edges indexed by incident community: lets the
+    # reduction direction pick partners that are guaranteed to close an
+    # intra-community edge.
+    by_comm = [[] for _ in range(planted.num_communities)]
+    by_comm_pos = {}
+
+    def add(i):
+        u, v = edges[i]
+        cu, cv = member[u], member[v]
+        if cu != cv:
+            inter_pos[i] = len(inter_idx)
+            inter_idx.append(i)
+            for c in (cu, cv):
+                by_comm_pos[(i, c)] = len(by_comm[c])
+                by_comm[c].append(i)
+        else:
+            intra_pos[i] = len(intra_idx)
+            intra_idx.append(i)
+
+    def drop(i):
+        u, v = edges[i]
+        cu, cv = member[u], member[v]
+        if cu != cv:
+            pos = inter_pos.pop(i)
+            last = inter_idx.pop()
+            if last != i:
+                inter_idx[pos] = last
+                inter_pos[last] = pos
+            for c in (cu, cv):
+                pos = by_comm_pos.pop((i, c))
+                lst = by_comm[c]
+                last = lst.pop()
+                if last != i:
+                    lst[pos] = last
+                    by_comm_pos[(last, c)] = pos
+        else:
+            pos = intra_pos.pop(i)
+            last = intra_idx.pop()
+            if last != i:
+                intra_idx[pos] = last
+                intra_pos[last] = pos
+
+    for i, (u, v) in enumerate(edges):
+        add(i)
+        if member[u] != member[v]:
+            ratio_sum += inv_deg[u] + inv_deg[v]
+
+    current_gap = abs(ratio_sum / active - target)
+    if current_gap <= tol:
+        return graph
+
+    def swap_delta(old1, old2, new1, new2):
+        delta = 0.0
+        for u, v in (old1, old2):
+            if member[u] != member[v]:
+                delta -= inv_deg[u] + inv_deg[v]
+        for u, v in (new1, new2):
+            if member[u] != member[v]:
+                delta += inv_deg[u] + inv_deg[v]
+        return delta
+
+    budget = config.max_rewire_iterations if config.max_rewire_iterations else 50 * m
+    # Drive the gap well inside the tolerance band rather than stopping at
+    # its edge; the budget is checked against the full tolerance below.
+    inner_tol = 0.25 * tol
+    for _ in range(budget):
+        if ratio_sum / active < target:
+            # Break two intra edges of different communities into two
+            # inter edges.
+            if len(intra_idx) < 2:
+                break
+            i = intra_idx[int(rng.integers(len(intra_idx)))]
+            j = intra_idx[int(rng.integers(len(intra_idx)))]
+            a, b = edges[i]
+            c, d = edges[j]
+            if member[a] == member[c] or len({a, b, c, d}) < 4:
+                continue
+            if int(rng.integers(2)):
+                c, d = d, c
+        else:
+            # Pair an inter edge with another inter edge touching the same
+            # community, closing one intra edge there.
+            if len(inter_idx) < 2:
+                break
+            i = inter_idx[int(rng.integers(len(inter_idx)))]
+            a, b = edges[i]
+            if int(rng.integers(2)):
+                a, b = b, a
+            focus = member[a]
+            pool = by_comm[focus]
+            if len(pool) < 2:
+                continue
+            j = pool[int(rng.integers(len(pool)))]
+            if j == i:
+                continue
+            c, d = edges[j]
+            if member[c] != focus:
+                c, d = d, c
+            if len({a, b, c, d}) < 4:
+                continue
+        new1 = (a, c) if a < c else (c, a)
+        new2 = (b, d) if b < d else (d, b)
+        if new1 in edge_set or new2 in edge_set:
+            continue
+        old1, old2 = edges[i], edges[j]
+        delta = swap_delta(old1, old2, new1, new2)
+        new_gap = abs((ratio_sum + delta) / active - target)
+        if new_gap >= current_gap:
+            continue
+        drop(i)
+        drop(j)
+        edge_set.discard(old1)
+        edge_set.discard(old2)
+        edges[i] = new1
+        edges[j] = new2
+        edge_set.add(new1)
+        edge_set.add(new2)
+        add(i)
+        add(j)
+        ratio_sum += delta
+        current_gap = new_gap
+        if current_gap <= inner_tol:
+            break
+    if current_gap > tol:
+        warnings.warn(
+            MixingToleranceWarning(
+                f"rewiring budget exhausted; achieved mu={ratio_sum / active:.4f} "
+                f"(target {target})"
+            )
+        )
+    return Graph(n, edges)

@@ -1,14 +1,19 @@
+import hashlib
+import json
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from commbench.algorithms import AlgoParams, louvain
-from commbench.graph import Partition
-from commbench.harness import derive_seed
+from commbench.graph import Graph, Partition
+from commbench.harness import Cell, derive_seed
 from commbench.lfr import (
     LfrConfig,
     MixingToleranceWarning,
+    _buffered_below,
     assign_communities,
     configuration_model,
     generate,
@@ -21,7 +26,7 @@ from commbench.lfr import (
 )
 from commbench.metrics import measured_mixing, partition_nmi
 
-from oracles import powerlaw_mle_exponent, powerlaw_sample_mean
+from oracles import powerlaw_mle_exponent, powerlaw_sample_mean, rewire_direct
 
 TABLE_CONFIG = LfrConfig(
     n=1000, avg_degree=15, max_degree=45, gamma=3.0, beta=2.0, mu=0.3, seed=0
@@ -198,6 +203,37 @@ class TestAssignCommunities:
             assign_communities([1, 1, 1], [2, 1], 0.0, np.random.default_rng(0))
 
 
+class TestBufferedBelow:
+    """`_buffered_below` must reproduce numpy's scalar bounded draws word
+    for word, so rewiring makes the same swaps as one `rng.integers` call
+    per draw."""
+
+    BOUNDS = (1, 2, 3, 17, 73782, 2**31 + 5, 2**32 - 1)
+
+    @pytest.mark.parametrize("prior", range(4))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_draws(self, seed, prior):
+        # An odd number of prior 32-bit draws leaves half a 64-bit word
+        # cached in PCG64; rng.random() draws a full word past it. 10,000
+        # draws (and their redraws) span three blocks of words.
+        scalar, buffered = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (scalar, buffered):
+            for _ in range(prior):
+                rng.integers(1000)
+            rng.random()
+        order = np.random.default_rng(100 + seed).integers(len(self.BOUNDS), size=10_000)
+        ks = [self.BOUNDS[i] for i in order.tolist()]
+        below = _buffered_below(buffered)
+        assert [below(k) for k in ks] == [int(scalar.integers(k)) for k in ks]
+
+    def test_unit_bound_uses_no_word(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        below = _buffered_below(rng)
+        assert [below(1) for _ in range(10)] == [0] * 10
+        assert rng.bit_generator.state == before
+
+
 class TestRewireToMixing:
     def test_already_at_target_returns_same_graph(self, bridged_triangles):
         planted = Partition([0, 0, 0, 1, 1, 1])
@@ -253,6 +289,88 @@ class TestRewireToMixing:
             rewire_to_mixing(skeleton, planted, resolved, rng)
 
 
+def _skeleton(config, seed):
+    """The configuration-model skeleton and planted partition that
+    `generate` would rewire, and the generator in its state at that point."""
+    rng = np.random.default_rng(seed)
+    degrees = sample_powerlaw_degrees(config, rng)
+    resolved = config.with_resolved_bounds(min(degrees))
+    sizes = sample_community_sizes(resolved, rng)
+    skeleton = configuration_model(degrees, rng)
+    planted = assign_communities(degrees, sizes, resolved.mu, rng)
+    return skeleton, planted, resolved, rng
+
+
+def _ring_of_cliques(count, size):
+    """`count` cliques of `size` nodes, consecutive ones joined by one edge
+    into a ring; the planted partition is the cliques."""
+    edges = []
+    for c in range(count):
+        nodes = range(c * size, (c + 1) * size)
+        edges += [(u, v) for u in nodes for v in nodes if u < v]
+        edges.append(((c + 1) * size - 1, ((c + 1) * size) % (count * size)))
+    membership = [v // size for v in range(count * size)]
+    return Graph(count * size, edges), Partition(membership)
+
+
+def _rewire_both(graph, planted, config, seed):
+    """Run `rewire_to_mixing` and the scalar-draw oracle from the same
+    generator state; return (edges, warning texts) of each."""
+    out = []
+    for rewire in (rewire_to_mixing, rewire_direct):
+        rng = np.random.default_rng()
+        rng.bit_generator.state = seed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = rewire(graph, planted, config, rng)
+        out.append((result.edges, [str(w.message) for w in caught]))
+    return out
+
+
+class TestRewireMatchesScalarOracle:
+    """Edge-for-edge agreement with `oracles.rewire_direct`, the loop with
+    one scalar draw per pick and dict-kept list slots."""
+
+    @pytest.mark.parametrize("n", [300, 600, 1000])
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5])
+    def test_reducing_branch_on_lfr_skeletons(self, n, mu):
+        config = LfrConfig(
+            n=n, avg_degree=15, max_degree=45, gamma=3.0, beta=2.0, mu=mu,
+        )
+        skeleton, planted, resolved, rng = _skeleton(config, seed=n + int(100 * mu))
+        assert measured_mixing(skeleton, planted).per_node > mu + resolved.mixing_tolerance
+        (got, got_warn), (want, want_warn) = _rewire_both(
+            skeleton, planted, resolved, rng.bit_generator.state
+        )
+        assert got != skeleton.edges
+        assert got == want
+        assert got_warn == want_warn
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_increasing_branch_from_ring_of_cliques(self, seed):
+        graph, planted = _ring_of_cliques(12, 8)
+        assert measured_mixing(graph, planted).per_node < 0.05
+        config = LfrConfig(n=96, avg_degree=7, max_degree=8, gamma=3.0, beta=2.0, mu=0.4)
+        state = np.random.default_rng(seed).bit_generator.state
+        (got, got_warn), (want, want_warn) = _rewire_both(graph, planted, config, state)
+        assert got != graph.edges
+        assert got == want
+        assert got_warn == want_warn
+
+    def test_budget_exhaustion_same_graph_and_warning(self):
+        config = LfrConfig(
+            n=1000, avg_degree=15, max_degree=45, gamma=3.0, beta=2.0,
+            mu=0.1, max_rewire_iterations=50,
+        )
+        skeleton, planted, resolved, rng = _skeleton(config, seed=2)
+        (got, got_warn), (want, want_warn) = _rewire_both(
+            skeleton, planted, resolved, rng.bit_generator.state
+        )
+        assert got == want
+        assert len(got_warn) == 1 and "budget exhausted" in got_warn[0]
+        assert got_warn == want_warn
+
+
 class TestGenerate:
     def test_deterministic_given_seed(self):
         config = LfrConfig(
@@ -296,6 +414,29 @@ class TestGenerate:
                 internal_stub_count(net.graph.degree(v), config.mu)
                 < net.planted.community_sizes[cid]
             )
+
+    def test_pinned_n5000_network(self):
+        """The generate-large sweep unit with the most rewiring (n=5000,
+        mu=0.1, master seed 1010) reproduces checked-in digests of its edge
+        list and planted membership."""
+        pin = json.loads((Path(__file__).parent / "data" / "pinned_n5000_mu0.1.json").read_text())
+        cell = Cell(n=5000, avg_degree=30.0, max_degree=90, gamma=3.0, beta=2.0, mu=0.1)
+        assert cell.key() == pin["cell_key"]
+        seed = derive_seed(pin["master_seed"], cell.key(), pin["replicate"])
+        assert seed == pin["seed"]
+        net = generate(
+            LfrConfig(
+                n=cell.n, avg_degree=cell.avg_degree, max_degree=cell.max_degree,
+                gamma=cell.gamma, beta=cell.beta, mu=cell.mu, seed=seed,
+                allow_mu_beyond_limit=True,
+            )
+        )
+
+        def digest(values):
+            return hashlib.sha256(json.dumps(values).encode()).hexdigest()
+
+        assert digest(net.graph.edges) == pin["edges_sha256"]
+        assert digest(list(net.planted.membership)) == pin["membership_sha256"]
 
     def test_small_network_louvain_recovery(self):
         hits = 0
