@@ -313,13 +313,13 @@ def _ring_of_cliques(count, size):
     return Graph(count * size, edges), Partition(membership)
 
 
-def _rewire_both(graph, planted, config, seed):
+def _rewire_both(graph, planted, config, state):
     """Run `rewire_to_mixing` and the scalar-draw oracle from the same
     generator state; return (edges, warning texts) of each."""
     out = []
     for rewire in (rewire_to_mixing, rewire_direct):
         rng = np.random.default_rng()
-        rng.bit_generator.state = seed
+        rng.bit_generator.state = state
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = rewire(graph, planted, config, rng)
