@@ -27,12 +27,14 @@ class Graph:
     __slots__ = ("indptr", "indices", "weights", "self_loops")
 
     def __init__(self, node_count, edges):
-        """Simple graph from (u, v) pairs; self-loops, duplicate edges and
-        out-of-range ids are rejected."""
+        """Simple graph from (u, v) pairs, or an (m, 2) integer array of
+        them; self-loops, duplicate edges and out-of-range ids are rejected."""
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
         n = int(node_count)
-        pairs = np.array(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         elif pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -252,8 +254,7 @@ def read_edge_list(path, node_count=None):
 
 def write_edge_list(graph, path):
     with open(path, "w") as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        fh.write("".join(f"{u} {v}\n" for u, v in graph.edges))
 
 
 def read_membership(path):
@@ -287,5 +288,4 @@ def read_membership(path):
 
 def write_membership(partition, path):
     with open(path, "w") as fh:
-        for v, cid in enumerate(partition.membership):
-            fh.write(f"{v} {cid}\n")
+        fh.write("".join(f"{v} {cid}\n" for v, cid in enumerate(partition.membership)))

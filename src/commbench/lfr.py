@@ -10,10 +10,13 @@ of inter-community links matches the requested mixing coefficient.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import warnings
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import length_hint
 
 import numpy as np
 
@@ -229,51 +232,57 @@ def configuration_model(degrees, rng) -> Graph:
     stubs = np.repeat(np.arange(n), degrees)
     rng.shuffle(stubs)
     m = len(stubs) // 2
-    edges = list(map(tuple, np.sort(stubs.reshape(-1, 2), axis=1).tolist()))
+    pairs = np.sort(stubs.reshape(-1, 2), axis=1)
+    # Edge (u, v), u <= v, is the key u*n + v.
+    key_array = pairs[:, 0] * n + pairs[:, 1]
+    unique, inverse, counts = np.unique(key_array, return_inverse=True, return_counts=True)
+    bad = np.flatnonzero((pairs[:, 0] == pairs[:, 1]) | (counts[inverse] > 1)).tolist()
+    keys = key_array.tolist()
+    present = set(keys)
+    # Multiplicity of each key held by more than one edge.
+    multi = dict(zip(unique[counts > 1].tolist(), counts[counts > 1].tolist()))
 
-    count = {}
-    for e in edges:
-        count[e] = count.get(e, 0) + 1
-
-    def is_bad(e):
-        return e[0] == e[1] or count[e] > 1
-
-    bad = [i for i, e in enumerate(edges) if is_bad(e)]
     budget = 200 * max(m, 1)
     attempts = 0
-    while bad:
-        if attempts >= budget:
-            raise ValueError(
-                "degree sequence not realizable as a simple graph within the swap budget"
-            )
-        attempts += 1
-        i = bad[int(rng.integers(len(bad)))]
-        if not is_bad(edges[i]):
-            bad = [k for k in bad if is_bad(edges[k])]
-            continue
-        j = int(rng.integers(m))
-        if j == i:
-            continue
-        a, b = edges[i]
-        c, d = edges[j]
-        if int(rng.integers(2)):
-            c, d = d, c
-        new1 = (a, c) if a <= c else (c, a)
-        new2 = (b, d) if b <= d else (d, b)
-        if new1[0] == new1[1] or new2[0] == new2[1] or new1 == new2:
-            continue
-        if count.get(new1, 0) > 0 or count.get(new2, 0) > 0:
-            continue
-        for e in (edges[i], edges[j]):
-            count[e] -= 1
-            if count[e] == 0:
-                del count[e]
-        edges[i] = new1
-        edges[j] = new2
-        count[new1] = 1
-        count[new2] = 1
-        bad = [k for k in bad if k != i and is_bad(edges[k])]
-    graph = Graph(n, edges)
+    with _buffered_below(rng) as below:
+        while bad:
+            if attempts >= budget:
+                raise ValueError(
+                    "degree sequence not realizable as a simple graph within the swap budget"
+                )
+            attempts += 1
+            i = bad[below(len(bad))]
+            j = below(m)
+            if j == i:
+                continue
+            a, b = divmod(keys[i], n)
+            c, d = divmod(keys[j], n)
+            if below(2):
+                c, d = d, c
+            if a == c or b == d:
+                continue
+            new1 = a * n + c if a <= c else c * n + a
+            new2 = b * n + d if b <= d else d * n + b
+            if new1 == new2 or new1 in present or new2 in present:
+                continue
+            # Keys left on a single edge stop being bad, unless a self-loop.
+            fixed = set()
+            for old in (keys[i], keys[j]):
+                if old in multi:
+                    multi[old] -= 1
+                    if multi[old] == 1:
+                        del multi[old]
+                        if old // n != old % n:
+                            fixed.add(old)
+                else:
+                    present.discard(old)
+            keys[i] = new1
+            keys[j] = new2
+            present.add(new1)
+            present.add(new2)
+            bad = [k for k in bad if k != i and k != j and keys[k] not in fixed]
+    key_array = np.array(keys, dtype=np.int64)
+    graph = Graph(n, np.column_stack(np.divmod(key_array, n)))
     assert graph.degrees() == degrees
     return graph
 
@@ -334,52 +343,58 @@ def assign_communities(degrees, sizes, mu, rng) -> Partition:
 
     members = [[] for _ in range(c)]
     member_of = [-1] * n
-    order = rng.permutation(n)
-    queue = deque(int(v) for v in order)
+    queue = deque(rng.permutation(n).tolist())
     budget = 500 * n
     attempts = 0
-    while queue:
-        attempts += 1
-        if attempts > budget:
-            raise ValueError("community assignment did not settle within its retry budget")
-        v = queue.popleft()
-        cid = by_size[c - 1 - int(rng.integers(fit_count[v]))]
-        if len(members[cid]) < sizes[cid]:
-            members[cid].append(v)
-            member_of[v] = cid
-        else:
-            crowd = members[cid]
-            slot = int(rng.integers(len(crowd)))
-            if fit_count[crowd[slot]] <= 1:
-                # Don't displace a node that fits nowhere else while a
-                # relocatable one is at hand; keeps tight instances from
-                # cycling.
-                for _ in range(10):
-                    alt = int(rng.integers(len(crowd)))
-                    if fit_count[crowd[alt]] > 1:
-                        slot = alt
-                        break
-            evicted = crowd[slot]
-            crowd[slot] = v
-            member_of[evicted] = -1
-            member_of[v] = cid
-            queue.append(evicted)
+    with _buffered_below(rng) as below:
+        while queue:
+            attempts += 1
+            if attempts > budget:
+                raise ValueError("community assignment did not settle within its retry budget")
+            v = queue.popleft()
+            cid = by_size[c - 1 - below(fit_count[v])]
+            if len(members[cid]) < sizes[cid]:
+                members[cid].append(v)
+                member_of[v] = cid
+            else:
+                crowd = members[cid]
+                slot = below(len(crowd))
+                if fit_count[crowd[slot]] <= 1:
+                    # Don't displace a node that fits nowhere else while a
+                    # relocatable one is at hand; keeps tight instances from
+                    # cycling.
+                    for _ in range(10):
+                        alt = below(len(crowd))
+                        if fit_count[crowd[alt]] > 1:
+                            slot = alt
+                            break
+                evicted = crowd[slot]
+                crowd[slot] = v
+                member_of[evicted] = -1
+                member_of[v] = cid
+                queue.append(evicted)
     return Partition(member_of)
 
 
+@contextmanager
 def _buffered_below(rng):
-    """Return `below(k)`, equal to `int(rng.integers(k))` for 1 <= k < 2**32
+    """Yield `below(k)`, equal to `int(rng.integers(k))` for 1 <= k < 2**32
     and consuming the same 32-bit words of `rng`, bit for bit.
 
     Words come from `rng` in blocks of 4096, a half word cached by the bit
     generator first, and each draw applies numpy's Lemire step to them.
-    k == 1 returns 0 without a word, as numpy does. Because whole blocks are
-    drawn ahead, `rng` is left in a different state than the scalar draws
-    would leave it in; use this only where `rng` is not drawn from again.
+    k == 1 returns 0 without a word, as numpy does. On exit `rng` is put
+    back in its state from before the last block and draws again only the
+    words of it that were used, so it ends where the scalar draws would
+    have left it.
     """
+    block = [None, iter(())]  # rng's state before the block, its unread words
+
     def words():
         while True:
-            yield from rng.integers(0, 1 << 32, size=4096, dtype=np.uint32).tolist()
+            block[0] = rng.bit_generator.state
+            block[1] = iter(rng.integers(0, 1 << 32, size=4096, dtype=np.uint32).tolist())
+            yield from block[1]
 
     word = words().__next__
 
@@ -393,7 +408,52 @@ def _buffered_below(rng):
                 m = word() * k
         return m >> 32
 
-    return below
+    try:
+        yield below
+    finally:
+        if block[0] is not None:
+            rng.bit_generator.state = block[0]
+            rng.integers(0, 1 << 32, size=4096 - length_hint(block[1]), dtype=np.uint32)
+
+
+def _rewiring_lists(graph, member, num_communities, inv_deg):
+    """The starting state of `rewire_to_mixing`'s edge lists, built with
+    array operations in the order a loop over `graph.edges` would build it.
+
+    Returns the inter- and intra-community edge indices into
+    `graph.edges`, ascending; pos[i], edge i's slot in one of those lists;
+    by_comm[c], the inter edges with an end in community c, ascending;
+    cpos[2i] and cpos[2i+1], edge i's slots in by_comm of its first and
+    second endpoint's community; and the sum over inter edges (u, v) of
+    inv_deg[u] + inv_deg[v].
+    """
+    rows = graph.rows()
+    upper = rows < graph.indices
+    us, vs = rows[upper], graph.indices[upper]
+    m = len(us)
+    member = np.asarray(member)
+    cu, cv = member[us], member[vs]
+    is_inter = cu != cv
+    inter = np.flatnonzero(is_inter)
+    # cumsum adds left to right, as the loop would.
+    inv = np.array(inv_deg)
+    ratio_sum = float(np.cumsum(inv[us[inter]] + inv[vs[inter]])[-1]) if len(inter) else 0.0
+    pos = np.empty(m, dtype=np.int64)
+    pos[inter] = np.arange(len(inter))
+    pos[~is_inter] = np.arange(m - len(inter))
+    # Each inter edge's two ends, in edge order, grouped by community.
+    ends = np.column_stack((cu[inter], cv[inter])).ravel()
+    order = np.argsort(ends, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=num_communities))))
+    cpos = np.zeros(2 * m, dtype=np.int64)
+    cpos[(2 * inter[:, None] + [0, 1]).ravel()[order]] = np.arange(len(ends)) - starts[ends[order]]
+    # Every list takes its ints from one table of m int objects, so the
+    # lists hold no per-entry copies.
+    ids = np.arange(m).astype(object)
+    grouped = ids[inter[order // 2]].tolist()
+    by_comm = [grouped[lo:hi] for lo, hi in itertools.pairwise(starts.tolist())]
+    inter_idx, intra_idx = ids[inter].tolist(), ids[~is_inter].tolist()
+    return inter_idx, intra_idx, ids[pos].tolist(), by_comm, ids[cpos].tolist(), ratio_sum
 
 
 def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -> Graph:
@@ -403,10 +463,9 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
     Emits MixingToleranceWarning (and returns the best-effort graph) if the
     swap budget runs out first.
 
-    Picks are drawn with `_buffered_below`: the swaps and the result are
-    those of one scalar `int(rng.integers(k))` per pick, but `rng` has drawn
-    ahead when this returns, so its state differs from the one those scalar
-    draws would leave.
+    Picks are drawn with `_buffered_below`: the swaps, the result and the
+    state `rng` is left in are those of one scalar `int(rng.integers(k))`
+    per pick.
     """
     if planted.node_count != graph.node_count:
         raise ValueError("partition does not cover the graph's node set")
@@ -427,19 +486,13 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
     if active == 0:
         raise ValueError("cannot rewire an edgeless graph")
 
-    edges = list(graph.edges)
+    inter_idx, intra_idx, pos, by_comm, cpos, ratio_sum = _rewiring_lists(
+        graph, member, planted.num_communities, inv_deg
+    )
+    # Built after the helper has freed its arrays, which keeps them from
+    # raising the peak memory.
+    edges = graph.edges
     edge_set = set(edges)
-    # ratio_sum tracks sum over nodes of ext(v)/deg(v); mu_hat = ratio_sum/active.
-    ratio_sum = 0.0
-    inter_idx, intra_idx = [], []
-    # Inter-community edges indexed by incident community: lets the
-    # reduction direction pick partners that are guaranteed to close an
-    # intra-community edge.
-    by_comm = [[] for _ in range(planted.num_communities)]
-    # pos[i]: edge i's slot in inter_idx or intra_idx. cpos[2i], cpos[2i+1]:
-    # its slots in by_comm of its first and second endpoint's community.
-    pos = [0] * m
-    cpos = [0] * (2 * m)
 
     def add(i):
         u, v = edges[i]
@@ -478,11 +531,6 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                 intra_idx[slot] = last
                 pos[last] = slot
 
-    for i, (u, v) in enumerate(edges):
-        add(i)
-        if member[u] != member[v]:
-            ratio_sum += inv_deg[u] + inv_deg[v]
-
     current_gap = abs(ratio_sum / active - target)
     if current_gap <= tol:
         return graph
@@ -497,69 +545,69 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                 delta += inv_deg[u] + inv_deg[v]
         return delta
 
-    below = _buffered_below(rng)
     budget = config.max_rewire_iterations if config.max_rewire_iterations else 50 * m
     # Drive the gap well inside the tolerance band rather than stopping at
     # its edge; the budget is checked against the full tolerance below.
     inner_tol = 0.25 * tol
-    for _ in range(budget):
-        if ratio_sum / active < target:
-            # Break two intra edges of different communities into two
-            # inter edges.
-            if len(intra_idx) < 2:
+    with _buffered_below(rng) as below:
+        for _ in range(budget):
+            if ratio_sum / active < target:
+                # Break two intra edges of different communities into two
+                # inter edges.
+                if len(intra_idx) < 2:
+                    break
+                i = intra_idx[below(len(intra_idx))]
+                j = intra_idx[below(len(intra_idx))]
+                a, b = edges[i]
+                c, d = edges[j]
+                if member[a] == member[c] or len({a, b, c, d}) < 4:
+                    continue
+                if below(2):
+                    c, d = d, c
+            else:
+                # Pair an inter edge with another inter edge touching the same
+                # community, closing one intra edge there.
+                if len(inter_idx) < 2:
+                    break
+                i = inter_idx[below(len(inter_idx))]
+                a, b = edges[i]
+                if below(2):
+                    a, b = b, a
+                focus = member[a]
+                pool = by_comm[focus]
+                if len(pool) < 2:
+                    continue
+                j = pool[below(len(pool))]
+                if j == i:
+                    continue
+                c, d = edges[j]
+                if member[c] != focus:
+                    c, d = d, c
+                if len({a, b, c, d}) < 4:
+                    continue
+            new1 = (a, c) if a < c else (c, a)
+            new2 = (b, d) if b < d else (d, b)
+            if new1 in edge_set or new2 in edge_set:
+                continue
+            old1, old2 = edges[i], edges[j]
+            delta = swap_delta(old1, old2, new1, new2)
+            new_gap = abs((ratio_sum + delta) / active - target)
+            if new_gap >= current_gap:
+                continue
+            drop(i)
+            drop(j)
+            edge_set.discard(old1)
+            edge_set.discard(old2)
+            edges[i] = new1
+            edges[j] = new2
+            edge_set.add(new1)
+            edge_set.add(new2)
+            add(i)
+            add(j)
+            ratio_sum += delta
+            current_gap = new_gap
+            if current_gap <= inner_tol:
                 break
-            i = intra_idx[below(len(intra_idx))]
-            j = intra_idx[below(len(intra_idx))]
-            a, b = edges[i]
-            c, d = edges[j]
-            if member[a] == member[c] or len({a, b, c, d}) < 4:
-                continue
-            if below(2):
-                c, d = d, c
-        else:
-            # Pair an inter edge with another inter edge touching the same
-            # community, closing one intra edge there.
-            if len(inter_idx) < 2:
-                break
-            i = inter_idx[below(len(inter_idx))]
-            a, b = edges[i]
-            if below(2):
-                a, b = b, a
-            focus = member[a]
-            pool = by_comm[focus]
-            if len(pool) < 2:
-                continue
-            j = pool[below(len(pool))]
-            if j == i:
-                continue
-            c, d = edges[j]
-            if member[c] != focus:
-                c, d = d, c
-            if len({a, b, c, d}) < 4:
-                continue
-        new1 = (a, c) if a < c else (c, a)
-        new2 = (b, d) if b < d else (d, b)
-        if new1 in edge_set or new2 in edge_set:
-            continue
-        old1, old2 = edges[i], edges[j]
-        delta = swap_delta(old1, old2, new1, new2)
-        new_gap = abs((ratio_sum + delta) / active - target)
-        if new_gap >= current_gap:
-            continue
-        drop(i)
-        drop(j)
-        edge_set.discard(old1)
-        edge_set.discard(old2)
-        edges[i] = new1
-        edges[j] = new2
-        edge_set.add(new1)
-        edge_set.add(new2)
-        add(i)
-        add(j)
-        ratio_sum += delta
-        current_gap = new_gap
-        if current_gap <= inner_tol:
-            break
     if current_gap > tol:
         warnings.warn(
             MixingToleranceWarning(
@@ -567,7 +615,8 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                 f"(target {target})"
             )
         )
-    result = Graph(n, edges)
+    flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * m)
+    result = Graph(n, flat.reshape(m, 2))
     assert result.degrees() == deg
     return result
 

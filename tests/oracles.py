@@ -5,13 +5,17 @@ enumeration, brute-force search, one scalar draw at a time. None of it
 shares an algorithm's code with the package.
 """
 
+import bisect
 import itertools
 import math
 import random
 import warnings
+from collections import deque
+
+import numpy as np
 
 from commbench.graph import Graph, Partition
-from commbench.lfr import MixingToleranceWarning
+from commbench.lfr import MixingToleranceWarning, _fit_shortfall, internal_stub_count
 
 
 def nmi_direct(counts):
@@ -569,3 +573,114 @@ def rewire_direct(graph, planted, config, rng):
             )
         )
     return Graph(n, edges)
+
+
+def configuration_direct(degrees, rng):
+    """Reference for `lfr.configuration_model`: edges as (u, v) tuples,
+    multiplicities in a dict keyed by edge, the bad list re-filtered after
+    every repair swap and one scalar `rng.integers` per draw. Same draws,
+    same swaps, same graph."""
+    degrees = [int(d) for d in degrees]
+    n = len(degrees)
+    if sum(degrees) % 2 != 0:
+        raise ValueError("degree sum must be even")
+    if any(d < 0 for d in degrees) or any(d > n - 1 for d in degrees):
+        raise ValueError("degrees must lie in [0, n-1]")
+    stubs = np.repeat(np.arange(n), degrees)
+    rng.shuffle(stubs)
+    m = len(stubs) // 2
+    edges = list(map(tuple, np.sort(stubs.reshape(-1, 2), axis=1).tolist()))
+
+    count = {}
+    for e in edges:
+        count[e] = count.get(e, 0) + 1
+
+    def is_bad(e):
+        return e[0] == e[1] or count[e] > 1
+
+    bad = [i for i, e in enumerate(edges) if is_bad(e)]
+    budget = 200 * max(m, 1)
+    attempts = 0
+    while bad:
+        if attempts >= budget:
+            raise ValueError(
+                "degree sequence not realizable as a simple graph within the swap budget"
+            )
+        attempts += 1
+        i = bad[int(rng.integers(len(bad)))]
+        if not is_bad(edges[i]):
+            bad = [k for k in bad if is_bad(edges[k])]
+            continue
+        j = int(rng.integers(m))
+        if j == i:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        if int(rng.integers(2)):
+            c, d = d, c
+        new1 = (a, c) if a <= c else (c, a)
+        new2 = (b, d) if b <= d else (d, b)
+        if new1[0] == new1[1] or new2[0] == new2[1] or new1 == new2:
+            continue
+        if count.get(new1, 0) > 0 or count.get(new2, 0) > 0:
+            continue
+        for e in (edges[i], edges[j]):
+            count[e] -= 1
+            if count[e] == 0:
+                del count[e]
+        edges[i] = new1
+        edges[j] = new2
+        count[new1] = 1
+        count[new2] = 1
+        bad = [k for k in bad if k != i and is_bad(edges[k])]
+    graph = Graph(n, edges)
+    assert graph.degrees() == degrees
+    return graph
+
+
+def assign_direct(degrees, sizes, mu, rng):
+    """Reference for `lfr.assign_communities`: the same placement with
+    kick-out, one scalar `rng.integers` per draw. It shares the package's
+    fit check and stub rounding, whose errors the comparison covers."""
+    n = len(degrees)
+    if sum(sizes) != n:
+        raise ValueError(f"sizes sum to {sum(sizes)}, expected n={n}")
+    c = len(sizes)
+    int_deg = [internal_stub_count(d, mu) for d in degrees]
+    shortfall = _fit_shortfall(int_deg, sizes)
+    if shortfall:
+        raise ValueError(shortfall)
+    by_size = sorted(range(c), key=lambda cid: sizes[cid])
+    sorted_sizes = [sizes[cid] for cid in by_size]
+    fit_count = [c - bisect.bisect_right(sorted_sizes, idg) for idg in int_deg]
+
+    members = [[] for _ in range(c)]
+    member_of = [-1] * n
+    order = rng.permutation(n)
+    queue = deque(int(v) for v in order)
+    budget = 500 * n
+    attempts = 0
+    while queue:
+        attempts += 1
+        if attempts > budget:
+            raise ValueError("community assignment did not settle within its retry budget")
+        v = queue.popleft()
+        cid = by_size[c - 1 - int(rng.integers(fit_count[v]))]
+        if len(members[cid]) < sizes[cid]:
+            members[cid].append(v)
+            member_of[v] = cid
+        else:
+            crowd = members[cid]
+            slot = int(rng.integers(len(crowd)))
+            if fit_count[crowd[slot]] <= 1:
+                for _ in range(10):
+                    alt = int(rng.integers(len(crowd)))
+                    if fit_count[crowd[alt]] > 1:
+                        slot = alt
+                        break
+            evicted = crowd[slot]
+            crowd[slot] = v
+            member_of[evicted] = -1
+            member_of[v] = cid
+            queue.append(evicted)
+    return Partition(member_of)

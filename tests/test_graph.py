@@ -43,6 +43,34 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(0, [])
 
+    @pytest.mark.parametrize(
+        "edges, match",
+        [
+            ([(1, 2), (0, 0)], r"^self-loop at node 0$"),
+            ([(0, 1), (1, 2), (1, 0)], r"^duplicate edge \(0, 1\)$"),
+            ([(0, 1), (0, 3)], r"^edge \(0,3\) out of range for n=3$"),
+            ([(0, 1), (-1, 2)], r"^edge \(-1,2\) out of range for n=3$"),
+        ],
+    )
+    def test_array_rejected_as_list_is(self, edges, match):
+        for given in (edges, np.array(edges)):
+            with pytest.raises(ValueError, match=match):
+                Graph(3, given)
+
+    def test_array_builds_same_graph_as_list(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            g = random_graph(rng.randrange(1, 30), rng.random(), rng)
+            edges = g.edges
+            rng.shuffle(edges)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            for given in (np.array(edges, dtype=np.int64).reshape(-1, 2),
+                          np.array(edges, dtype=np.int32).reshape(-1, 2)):
+                a, b = Graph(g.node_count, given), Graph(g.node_count, edges)
+                for name in Graph.__slots__:
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+                    assert getattr(a, name).dtype == getattr(b, name).dtype
+
     def test_arrays_read_only_and_shared_by_sparse_view(self, triangle):
         with pytest.raises(ValueError):
             triangle.indices[0] = 2
@@ -301,6 +329,20 @@ class TestIO:
         path = tmp_path / "g.edges"
         path.write_text("0 1\n")
         assert read_edge_list(path, node_count=4).node_count == 4
+
+    def test_writers_match_per_line_output(self, tmp_path):
+        net = generate(LfrConfig(n=200, avg_degree=8, max_degree=24, gamma=3.0, beta=2.0,
+                                 mu=0.3, seed=4))
+        write_edge_list(net.graph, tmp_path / "g.edges")
+        write_membership(net.planted, tmp_path / "p.membership")
+        with open(tmp_path / "want.edges", "w") as fh:
+            for u, v in net.graph.edges:
+                fh.write(f"{u} {v}\n")
+        with open(tmp_path / "want.membership", "w") as fh:
+            for v, cid in enumerate(net.planted.membership):
+                fh.write(f"{v} {cid}\n")
+        for got, want in (("g.edges", "want.edges"), ("p.membership", "want.membership")):
+            assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
 
     def test_membership_round_trip(self, tmp_path):
         part = Partition([0, 1, 1, 0, 2])

@@ -26,7 +26,13 @@ from commbench.lfr import (
 )
 from commbench.metrics import measured_mixing, partition_nmi
 
-from oracles import powerlaw_mle_exponent, powerlaw_sample_mean, rewire_direct
+from oracles import (
+    assign_direct,
+    configuration_direct,
+    powerlaw_mle_exponent,
+    powerlaw_sample_mean,
+    rewire_direct,
+)
 
 TABLE_CONFIG = LfrConfig(
     n=1000, avg_degree=15, max_degree=45, gamma=3.0, beta=2.0, mu=0.3, seed=0
@@ -203,35 +209,163 @@ class TestAssignCommunities:
             assign_communities([1, 1, 1], [2, 1], 0.0, np.random.default_rng(0))
 
 
+def _from_state(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def _run_both(stage, oracle, args, state):
+    """Run a generation stage and its scalar-draw oracle on `args` from the
+    same generator state; return (result or ValueError text, generator
+    state afterwards) of each."""
+    out = []
+    for fn in (stage, oracle):
+        rng = _from_state(state)
+        try:
+            result = fn(*args, rng)
+        except ValueError as err:
+            result = str(err)
+        out.append((result, rng.bit_generator.state))
+    return out
+
+
+class TestConfigurationMatchesScalarOracle:
+    """Same edges and same generator state afterwards as
+    `oracles.configuration_direct`, the tuple/dict loop with one scalar
+    draw per pick."""
+
+    @staticmethod
+    def _check(degrees, state):
+        (got, got_state), (want, want_state) = _run_both(
+            configuration_model, configuration_direct, (degrees,), state
+        )
+        assert isinstance(got, str) == isinstance(want, str)
+        if isinstance(got, Graph):
+            got, want = got.edges, want.edges
+        assert got == want
+        assert got_state == want_state
+        return got
+
+    def test_sampled_sequences(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            degrees = sample_powerlaw_degrees(TABLE_CONFIG, rng)
+            self._check(degrees, rng.bit_generator.state)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_with_many_self_loops_and_multi_edges(self, seed):
+        # 12 nodes of degree 8 to 10: most stub pairings repeat a pair or
+        # close a loop, so many repair swaps run.
+        degrees = np.random.default_rng(50 + seed).integers(8, 11, size=12).tolist()
+        degrees[0] += sum(degrees) % 2
+        rng = np.random.default_rng(seed)
+        stubs = np.repeat(np.arange(12), degrees)
+        _from_state(rng.bit_generator.state).shuffle(stubs)
+        pairs = np.sort(stubs.reshape(-1, 2), axis=1).tolist()
+        repeats = len(pairs) - len(set(map(tuple, pairs)))
+        loops = sum(u == v for u, v in pairs)
+        assert repeats + loops >= 10
+        edges = self._check(degrees, rng.bit_generator.state)
+        assert isinstance(edges, list)
+
+    def test_unrealizable_sequence(self):
+        got = self._check([3, 3, 1, 1], np.random.default_rng(0).bit_generator.state)
+        assert "not realizable" in got
+
+
+class TestAssignMatchesScalarOracle:
+    """Same partition and same generator state afterwards as
+    `oracles.assign_direct`, the placement loop with one scalar draw per
+    pick."""
+
+    @staticmethod
+    def _check(degrees, sizes, mu, state):
+        (got, got_state), (want, want_state) = _run_both(
+            assign_communities, assign_direct, (degrees, sizes, mu), state
+        )
+        assert got == want
+        assert got_state == want_state
+        return got
+
+    def test_sampled_sequences(self):
+        config = TABLE_CONFIG.with_resolved_bounds(9)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            degrees = sample_powerlaw_degrees(config, rng)
+            sizes = sample_community_sizes(config, rng)
+            self._check(degrees, sizes, config.mu, rng.bit_generator.state)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tight_fit_with_kick_outs(self, seed):
+        # Eleven nodes fit only the 12-node community, so kick-outs there
+        # often hit a node that fits nowhere else and redraw.
+        degrees = [5] * 11 + [1] * 9
+        state = np.random.default_rng(seed).bit_generator.state
+        part = self._check(degrees, [4, 12, 4], 0.0, state)
+        assert all(part.community_sizes[part.membership[v]] == 12 for v in range(11))
+
+    @pytest.mark.parametrize(
+        "degrees, sizes, match",
+        [([9, 1, 1, 1], [2, 2], "larger than"), ([1, 1, 1], [2, 1], "at t=1, 3 nodes")],
+    )
+    def test_error_paths(self, degrees, sizes, match):
+        got = self._check(degrees, sizes, 0.0, np.random.default_rng(0).bit_generator.state)
+        assert match in got
+
+
 class TestBufferedBelow:
     """`_buffered_below` must reproduce numpy's scalar bounded draws word
-    for word, so rewiring makes the same swaps as one `rng.integers` call
-    per draw."""
+    for word and leave the generator where those draws leave it, so a
+    stage using it makes the same picks and hands on the same state as one
+    `rng.integers` call per draw."""
 
     BOUNDS = (1, 2, 3, 17, 73782, 2**31 + 5, 2**32 - 1)
+
+    @staticmethod
+    def _pair(seed, prior):
+        """Two generators in the same state after `prior` 32-bit draws and
+        one 64-bit draw. An odd `prior` leaves half a 64-bit word cached in
+        PCG64; rng.random() draws a full word past it."""
+        pair = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in pair:
+            for _ in range(prior):
+                rng.integers(1000)
+            rng.random()
+        assert pair[0].bit_generator.state["has_uint32"] == prior % 2
+        return pair
 
     @pytest.mark.parametrize("prior", range(4))
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scalar_draws(self, seed, prior):
-        # An odd number of prior 32-bit draws leaves half a 64-bit word
-        # cached in PCG64; rng.random() draws a full word past it. 10,000
-        # draws (and their redraws) span three blocks of words.
-        scalar, buffered = np.random.default_rng(seed), np.random.default_rng(seed)
-        for rng in (scalar, buffered):
-            for _ in range(prior):
-                rng.integers(1000)
-            rng.random()
+        # 10,000 draws (and their redraws) span three blocks of words.
+        scalar, buffered = self._pair(seed, prior)
         order = np.random.default_rng(100 + seed).integers(len(self.BOUNDS), size=10_000)
         ks = [self.BOUNDS[i] for i in order.tolist()]
-        below = _buffered_below(buffered)
-        assert [below(k) for k in ks] == [int(scalar.integers(k)) for k in ks]
+        with _buffered_below(buffered) as below:
+            got = [below(k) for k in ks]
+        assert got == [int(scalar.integers(k)) for k in ks]
+        assert buffered.bit_generator.state == scalar.bit_generator.state
 
     def test_unit_bound_uses_no_word(self):
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        below = _buffered_below(rng)
-        assert [below(1) for _ in range(10)] == [0] * 10
+        with _buffered_below(rng) as below:
+            assert [below(1) for _ in range(10)] == [0] * 10
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("prior", [0, 1])
+    @pytest.mark.parametrize(
+        "ks", [(), (1,) * 5, (2,) * 3, (17,) * 4096, (17,) * 4097],
+        ids=lambda ks: f"{len(ks)}-draws",
+    )
+    def test_settles_to_scalar_state(self, prior, ks):
+        scalar, buffered = self._pair(7, prior)
+        with _buffered_below(buffered) as below:
+            got = [below(k) for k in ks]
+        assert got == [int(scalar.integers(k)) for k in ks]
+        assert buffered.bit_generator.state == scalar.bit_generator.state
+        assert buffered.random() == scalar.random()
 
 
 class TestRewireToMixing:
@@ -315,15 +449,17 @@ def _ring_of_cliques(count, size):
 
 def _rewire_both(graph, planted, config, state):
     """Run `rewire_to_mixing` and the scalar-draw oracle from the same
-    generator state; return (edges, warning texts) of each."""
-    out = []
+    generator state, check that both leave the generator in the same
+    state, and return (edges, warning texts) of each."""
+    out, states = [], []
     for rewire in (rewire_to_mixing, rewire_direct):
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state
+        rng = _from_state(state)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = rewire(graph, planted, config, rng)
         out.append((result.edges, [str(w.message) for w in caught]))
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
     return out
 
 
@@ -416,27 +552,31 @@ class TestGenerate:
             )
 
     def test_pinned_n5000_network(self):
-        """The generate-large sweep unit with the most rewiring (n=5000,
-        mu=0.1, master seed 1010) reproduces checked-in digests of its edge
-        list and planted membership."""
-        pin = json.loads((Path(__file__).parent / "data" / "pinned_n5000_mu0.1.json").read_text())
-        cell = Cell(n=5000, avg_degree=30.0, max_degree=90, gamma=3.0, beta=2.0, mu=0.1)
-        assert cell.key() == pin["cell_key"]
-        seed = derive_seed(pin["master_seed"], cell.key(), pin["replicate"])
-        assert seed == pin["seed"]
-        net = generate(
-            LfrConfig(
-                n=cell.n, avg_degree=cell.avg_degree, max_degree=cell.max_degree,
-                gamma=cell.gamma, beta=cell.beta, mu=cell.mu, seed=seed,
-                allow_mu_beyond_limit=True,
-            )
-        )
+        """The four generate-large sweep units (n=5000, mu 0.1 to 0.7, master
+        seed 1010) reproduce checked-in digests of their edge lists and
+        planted memberships."""
+        pin_file = Path(__file__).parent / "data" / "pinned_generate_large.json"
+        pin = json.loads(pin_file.read_text())
 
         def digest(values):
             return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
-        assert digest(net.graph.edges) == pin["edges_sha256"]
-        assert digest(list(net.planted.membership)) == pin["membership_sha256"]
+        assert len(pin["networks"]) == 4
+        for key, want in pin["networks"].items():
+            mu = float(key.rsplit("mu=", 1)[1])
+            cell = Cell(n=5000, avg_degree=30.0, max_degree=90, gamma=3.0, beta=2.0, mu=mu)
+            assert cell.key() == key
+            seed = derive_seed(pin["master_seed"], key, pin["replicate"])
+            assert seed == want["seed"]
+            net = generate(
+                LfrConfig(
+                    n=cell.n, avg_degree=cell.avg_degree, max_degree=cell.max_degree,
+                    gamma=cell.gamma, beta=cell.beta, mu=cell.mu, seed=seed,
+                    allow_mu_beyond_limit=True,
+                )
+            )
+            assert digest(net.graph.edges) == want["edges_sha256"], key
+            assert digest(list(net.planted.membership)) == want["membership_sha256"], key
 
     def test_small_network_louvain_recovery(self):
         hits = 0
