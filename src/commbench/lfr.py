@@ -281,8 +281,7 @@ def configuration_model(degrees, rng) -> Graph:
             present.add(new1)
             present.add(new2)
             bad = [k for k in bad if k != i and k != j and keys[k] not in fixed]
-    key_array = np.array(keys, dtype=np.int64)
-    graph = Graph(n, np.column_stack(np.divmod(key_array, n)))
+    graph = Graph(n, np.column_stack(np.divmod(np.array(keys, dtype=np.int64), n)))
     assert graph.degrees() == degrees
     return graph
 
@@ -486,6 +485,10 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
     if active == 0:
         raise ValueError("cannot rewire an edgeless graph")
 
+    # ratio_sum tracks sum over nodes of ext(v)/deg(v); mu_hat = ratio_sum/active.
+    # Inter-community edges are also indexed by incident community (by_comm):
+    # lets the reduction direction pick partners that are guaranteed to close
+    # an intra-community edge.
     inter_idx, intra_idx, pos, by_comm, cpos, ratio_sum = _rewiring_lists(
         graph, member, planted.num_communities, inv_deg
     )

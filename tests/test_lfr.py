@@ -14,6 +14,7 @@ from commbench.lfr import (
     LfrConfig,
     MixingToleranceWarning,
     _buffered_below,
+    _rewiring_lists,
     assign_communities,
     configuration_model,
     generate,
@@ -255,7 +256,7 @@ class TestConfigurationMatchesScalarOracle:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_with_many_self_loops_and_multi_edges(self, seed):
-        # 12 nodes of degree 8 to 10: most stub pairings repeat a pair or
+        # 12 nodes of degree 8 to 10: many stub pairings repeat a pair or
         # close a loop, so many repair swaps run.
         degrees = np.random.default_rng(50 + seed).integers(8, 11, size=12).tolist()
         degrees[0] += sum(degrees) % 2
@@ -461,6 +462,41 @@ def _rewire_both(graph, planted, config, state):
         states.append(rng.bit_generator.state)
     assert states[0] == states[1]
     return out
+
+
+class TestRewiringLists:
+    """`_rewiring_lists` equals the per-edge loop it replaced: the same
+    lists in the same order, and the same ratio sum to the bit."""
+
+    @staticmethod
+    def _loop(graph, member, num_communities, inv_deg):
+        edges = graph.edges
+        inter_idx, intra_idx, by_comm = [], [], [[] for _ in range(num_communities)]
+        pos, cpos = [0] * len(edges), [0] * (2 * len(edges))
+        ratio_sum = 0.0
+        for i, (u, v) in enumerate(edges):
+            cu, cv = member[u], member[v]
+            if cu != cv:
+                pos[i] = len(inter_idx)
+                inter_idx.append(i)
+                for c, k in ((cu, 2 * i), (cv, 2 * i + 1)):
+                    cpos[k] = len(by_comm[c])
+                    by_comm[c].append(i)
+                ratio_sum += inv_deg[u] + inv_deg[v]
+            else:
+                pos[i] = len(intra_idx)
+                intra_idx.append(i)
+        return inter_idx, intra_idx, pos, by_comm, cpos, ratio_sum
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_edge_loop(self, seed):
+        config = LfrConfig(
+            n=600, avg_degree=15, max_degree=45, gamma=3.0, beta=2.0, mu=0.1 + 0.2 * seed,
+        )
+        skeleton, planted, _, _ = _skeleton(config, seed)
+        inv_deg = [1.0 / d if d else 0.0 for d in skeleton.degrees()]
+        args = (skeleton, planted.membership, planted.num_communities, inv_deg)
+        assert _rewiring_lists(*args) == self._loop(*args)
 
 
 class TestRewireMatchesScalarOracle:
