@@ -29,11 +29,11 @@ def _coefficient(tri, du, dv):
     return (tri + 1) / low
 
 
-def _removal_order(graph, neighbors):
+def _removal_order(graph):
     """Every edge in the order of removal: smallest (c, u, v) first, each
     coefficient taken on the graph left by the earlier removals."""
     n = graph.node_count
-    adj = [set(a) for a in neighbors]
+    adj = [set(a) for a in graph.row_view[0]]
     deg = graph.degrees()
     # Edge (u, v), u < v, is keyed u * n + v, so (c, key) sorts as (c, u, v).
     tri = {u * n + v: len(adj[u] & adj[v]) for u, v in graph.edges}
@@ -110,26 +110,22 @@ def radetal(graph: Graph) -> Partition:
     n = graph.node_count
     m = graph.edge_count
     four_m2 = 4.0 * m * m
-    adj = [graph.neighbors(v) for v in range(n)]
+    adj = graph.row_view[0]
     deg = graph.degrees()
 
     start = connected_components(graph)
-    member = start.membership
-    labels = np.asarray(member, dtype=np.int64)
-    # Original-graph edge counts and degree sums per current component.
-    l_comp = [0] * start.num_communities
-    d_comp = [0] * start.num_communities
-    for u, v in graph.edges:
-        l_comp[member[u]] += 1
-    for v in range(n):
-        d_comp[member[v]] += deg[v]
+    labels = np.asarray(start.membership, dtype=np.int64)
+    # Original-graph degree sums and edge counts per current component: an
+    # edge's endpoints share a component, so each edge adds 2 to its d_comp.
+    d_comp = np.bincount(labels[graph.rows()], minlength=start.num_communities).tolist()
+    l_comp = [d // 2 for d in d_comp]
 
     q = sum(e / m - d**2 / four_m2 for e, d in zip(l_comp, d_comp))
     best_q = q
     best_labels = labels.copy()
     # Either side may take the new label: the Q increment is symmetric in
     # the two sides, and from_labels renumbers by first appearance.
-    for side in _splits(n, _removal_order(graph, adj)):
+    for side in _splits(n, _removal_order(graph)):
         old = int(labels[side[0]])
         new = len(l_comp)
         labels[side] = new

@@ -16,19 +16,27 @@ import random
 import numpy as np
 
 from ..graph import Graph, Partition
-from .modularity_opt import _aggregate_levels, _weighted_adjacency
+from .modularity_opt import _aggregate_levels
 
 
 def _plogp(x):
     return x * math.log(x) if x > 0.0 else 0.0
 
 
-def _module_state(adj, strength, comm, count):
+def _module_terms(out_w, p, two_w):
+    """One module's terms of the description length, from its exit weight
+    out_w and its summed node strength p; two_w is the total strength."""
+    q = out_w / two_w
+    return -2.0 * _plogp(q) + _plogp(q + p / two_w)
+
+
+def _module_state(graph, strength, comm, count):
+    nbrs, wts = graph.row_view
     p_mod = [0.0] * count
     w_out = [0.0] * count
     for v, c in enumerate(comm):
         p_mod[c] += strength[v]
-        for u, wt in adj[v]:
+        for u, wt in zip(nbrs[v], wts[v]):
             if comm[u] != c:
                 w_out[c] += wt
     return p_mod, w_out
@@ -42,8 +50,7 @@ def _length_from_state(p_mod, w_out, two_w, node_term):
     q_tot = sum(w_out) / two_w
     length = _plogp(q_tot) - node_term
     for p, w in zip(p_mod, w_out):
-        q = w / two_w
-        length += -2.0 * _plogp(q) + _plogp(q + p / two_w)
+        length += _module_terms(w, p, two_w)
     return length
 
 
@@ -54,9 +61,7 @@ def description_length(graph, partition: Partition) -> float:
     if two_w <= 0:
         raise ValueError("needs at least one edge")
     strength = graph.strengths().tolist()
-    p_mod, w_out = _module_state(
-        _weighted_adjacency(graph), strength, partition.membership, partition.num_communities
-    )
+    p_mod, w_out = _module_state(graph, strength, partition.membership, partition.num_communities)
     return _length_from_state(p_mod, w_out, two_w, _node_term(strength, two_w))
 
 
@@ -64,7 +69,7 @@ def _map_local_pass(graph, rng):
     """Sweep-until-stable local moves minimizing description length on one
     aggregation level. Returns (labels, moved_any)."""
     n = graph.node_count
-    adj = _weighted_adjacency(graph)
+    nbrs, wts = graph.row_view
     self_w = graph.self_loops.tolist()
     strength = graph.strengths().tolist()
     two_w = graph.total_strength
@@ -80,7 +85,7 @@ def _map_local_pass(graph, rng):
             v = int(v)
             cur = comm[v]
             links = {}
-            for u, wt in adj[v]:
+            for u, wt in zip(nbrs[v], wts[v]):
                 links[comm[u]] = links.get(comm[u], 0.0) + wt
             k_cross = strength[v] - self_w[v]
             e_cur = links.get(cur, 0.0)
@@ -91,12 +96,9 @@ def _map_local_pass(graph, rng):
             p_cur_removed = p_mod[cur] - s_v
             base_q_tot = q_tot - w_out[cur] + out_cur_removed
 
-            def terms(out_w, p):
-                q = out_w / two_w
-                return -2.0 * _plogp(q) + _plogp(q + p / two_w)
-
             plogp_q_tot = _plogp(q_tot / two_w)
-            delta_cur = terms(out_cur_removed, p_cur_removed) - terms(w_out[cur], p_mod[cur])
+            delta_cur = _module_terms(out_cur_removed, p_cur_removed, two_w)
+            delta_cur -= _module_terms(w_out[cur], p_mod[cur], two_w)
             best_comm, best_delta, ties = cur, 0.0, 1
             for cand in sorted(links):
                 if cand == cur:
@@ -107,8 +109,8 @@ def _map_local_pass(graph, rng):
                     _plogp(q_tot_new / two_w)
                     - plogp_q_tot
                     + delta_cur
-                    + terms(out_new, p_mod[cand] + s_v)
-                    - terms(w_out[cand], p_mod[cand])
+                    + _module_terms(out_new, p_mod[cand] + s_v, two_w)
+                    - _module_terms(w_out[cand], p_mod[cand], two_w)
                 )
                 if delta < best_delta - 1e-13:
                     best_comm, best_delta, ties = cand, delta, 1
@@ -136,14 +138,14 @@ def _anneal_refine(graph, labels, params):
     """Metropolis refinement of module assignments at the original-node
     level; returns the best labeling encountered."""
     n = graph.node_count
-    adj = _weighted_adjacency(graph)
+    nbrs, wts = graph.row_view
     self_w = graph.self_loops.tolist()
     strength = graph.strengths().tolist()
     two_w = graph.total_strength
     rng = random.Random(params.seed + 0x5EED)
     part = Partition.from_labels(labels)
     comm = list(part.membership)
-    p_mod, w_out = _module_state(adj, strength, comm, part.num_communities)
+    p_mod, w_out = _module_state(graph, strength, comm, part.num_communities)
     q_tot = sum(w_out)
     length = _length_from_state(p_mod, w_out, two_w, _node_term(strength, two_w))
     best_length = length
@@ -153,31 +155,27 @@ def _anneal_refine(graph, labels, params):
     while temp > params.sa_min_temperature:
         for _ in range(params.sa_sweeps_per_temperature * n):
             v = rng.randrange(n)
-            if not adj[v]:
+            row = nbrs[v]
+            if not row:
                 continue
-            cand = comm[adj[v][rng.randrange(len(adj[v]))][0]]
+            cand = comm[row[rng.randrange(len(row))]]
             cur = comm[v]
             if cand == cur:
                 continue
-            e_cur = sum(wt for u, wt in adj[v] if comm[u] == cur)
-            e_new = sum(wt for u, wt in adj[v] if comm[u] == cand)
+            e_cur = sum(wt for u, wt in zip(row, wts[v]) if comm[u] == cur)
+            e_new = sum(wt for u, wt in zip(row, wts[v]) if comm[u] == cand)
             k_cross = strength[v] - self_w[v]
             s_v = strength[v]
-
-            def terms(out_w, p):
-                q = out_w / two_w
-                return -2.0 * _plogp(q) + _plogp(q + p / two_w)
-
             out_cur2 = w_out[cur] - k_cross + 2.0 * e_cur
             out_new2 = w_out[cand] + k_cross - 2.0 * e_new
             q_tot2 = q_tot - w_out[cur] - w_out[cand] + out_cur2 + out_new2
             delta = (
                 _plogp(q_tot2 / two_w)
                 - _plogp(q_tot / two_w)
-                + terms(out_cur2, p_mod[cur] - s_v)
-                - terms(w_out[cur], p_mod[cur])
-                + terms(out_new2, p_mod[cand] + s_v)
-                - terms(w_out[cand], p_mod[cand])
+                + _module_terms(out_cur2, p_mod[cur] - s_v, two_w)
+                - _module_terms(w_out[cur], p_mod[cur], two_w)
+                + _module_terms(out_new2, p_mod[cand] + s_v, two_w)
+                - _module_terms(w_out[cand], p_mod[cand], two_w)
             )
             if delta <= 0.0 or rng.random() < math.exp(-delta * n / temp):
                 comm[v] = cand

@@ -34,11 +34,10 @@ class _Agglomeration:
     """
 
     def __init__(self, graph):
-        n = graph.node_count
         self.m = graph.edge_count
         self.two_m2 = 2.0 * self.m * self.m
         #: community -> {adjacent community: summed edge weight}
-        self.links = [dict.fromkeys(graph.neighbors(v), 1.0) for v in range(n)]
+        self.links = [dict.fromkeys(row, 1.0) for row in graph.row_view[0]]
         self.degree = [float(d) for d in graph.degrees()]
 
     def delta_q(self, a, b):
@@ -118,18 +117,11 @@ def fastgreedy(graph: Graph) -> Partition:
     return agg.run(heap, lambda a, x: (-delta_q(a, x),))
 
 
-def _weighted_adjacency(graph):
-    """Each node's (neighbour, weight) pairs in increasing neighbour order."""
-    pairs = list(zip(graph.indices.tolist(), graph.weights.tolist()))
-    bounds = graph.indptr.tolist()
-    return [pairs[bounds[v]:bounds[v + 1]] for v in range(graph.node_count)]
-
-
 def _local_moving_pass(graph, rng):
     """One seeded sweep-until-stable phase of greedy modularity moves on
     one aggregation level. Returns (membership labels, moved_any)."""
     n = graph.node_count
-    adj = _weighted_adjacency(graph)
+    nbrs, wts = graph.row_view
     strength = graph.strengths().tolist()
     two_w = graph.total_strength
     comm = list(range(n))
@@ -142,7 +134,7 @@ def _local_moving_pass(graph, rng):
             k_v = strength[v]
             cur = comm[v]
             links = {}
-            for u, wt in adj[v]:
+            for u, wt in zip(nbrs[v], wts[v]):
                 links[comm[u]] = links.get(comm[u], 0.0) + wt
             sigma_tot[cur] -= k_v
             best_comm = cur
@@ -221,20 +213,16 @@ def spinglass(graph: Graph, params) -> Partition:
     n = graph.node_count
     m = graph.edge_count
     q_spins = min(params.spinglass_max_spins, n)
-    adj = [graph.neighbors(v) for v in range(n)]
+    adj = graph.row_view[0]
     deg = graph.degrees()
     n_bits, q_bits = n.bit_length(), q_spins.bit_length()
     deg_bits = [k.bit_length() for k in deg]
 
     spins = [rng.randrange(q_spins) for _ in range(n)]
-    count = [0] * (n * q_spins)
-    for v in range(n):
-        row = v * q_spins
-        for u in adj[v]:
-            count[row + spins[u]] += 1
-    d_sum = [0.0] * q_spins
-    for v in range(n):
-        d_sum[spins[v]] += deg[v]
+    spin_of = np.asarray(spins)
+    key = graph.rows() * q_spins + spin_of[graph.indices]
+    count = np.bincount(key, minlength=n * q_spins).tolist()
+    d_sum = np.bincount(spin_of, weights=deg, minlength=q_spins).tolist()
     q_val = modularity(graph, Partition.from_labels(spins))
     best_q = q_val
     best_spins = list(spins)

@@ -36,7 +36,7 @@ def label_propagation(graph: Graph, params) -> Partition:
     params.validate()
     n = graph.node_count
     rng = random.Random(params.seed)
-    adj = [graph.neighbors(v) for v in range(n)]
+    adj = graph.row_view[0]
     labels = list(range(n))
     order = list(range(n))
     converged = False

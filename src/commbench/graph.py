@@ -24,7 +24,7 @@ class Graph:
     weights and no self-loops; quotient graphs carry summed weights.
     """
 
-    __slots__ = ("indptr", "indices", "weights", "self_loops")
+    __slots__ = ("indptr", "indices", "weights", "self_loops", "_row_view")
 
     def __init__(self, node_count, edges):
         """Simple graph from (u, v) pairs, or an (m, 2) integer array of
@@ -68,6 +68,7 @@ class Graph:
         for name, array in zip(self.__slots__, arrays):
             array.flags.writeable = False
             setattr(self, name, array)
+        self._row_view = None
 
     @property
     def node_count(self):
@@ -89,17 +90,34 @@ class Graph:
         """The row (source node) of each entry of `indices`."""
         return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
 
+    def _row_bounds(self, node):
+        if not 0 <= node < len(self.indptr) - 1:
+            raise ValueError(f"node {node} out of range for n={self.node_count}")
+        return self.indptr[node], self.indptr[node + 1]
+
     def degree(self, node):
-        return len(self.neighbors(node))
+        start, stop = self._row_bounds(node)
+        return int(stop - start)
 
     def degrees(self):
         return np.diff(self.indptr).tolist()
 
     def neighbors(self, node):
         """Adjacent nodes in increasing id order, self excluded."""
-        if not 0 <= node < len(self.indptr) - 1:
-            raise ValueError(f"node {node} out of range for n={self.node_count}")
-        return self.indices[self.indptr[node]:self.indptr[node + 1]].tolist()
+        start, stop = self._row_bounds(node)
+        return self.indices[start:stop].tolist()
+
+    @property
+    def row_view(self):
+        """(neighbours, weights): per node, a tuple of its adjacent nodes in
+        increasing id order and a parallel tuple of the edge weights. Built
+        on first access and cached."""
+        if self._row_view is None:
+            bounds = self.indptr.tolist()
+            spans = list(zip(bounds, bounds[1:]))
+            flat = (self.indices.tolist(), self.weights.tolist())
+            self._row_view = tuple(tuple(tuple(f[a:b]) for a, b in spans) for f in flat)
+        return self._row_view
 
     def strengths(self):
         """Per-node summed edge weight plus self-loop weight."""

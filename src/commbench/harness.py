@@ -186,10 +186,8 @@ class RunRecord:
         )
 
     def cell_key(self):
-        return (
-            f"n={self.n},k={self.avg_degree:g},kmax={self.max_degree},"
-            f"gamma={self.gamma:g},beta={self.beta:g},mu={self.mu_target:g}"
-        )
+        grid = (self.n, self.avg_degree, self.max_degree, self.gamma, self.beta, self.mu_target)
+        return Cell(*grid).key()
 
 
 #: records.csv column -> type, in column order (stable contract).

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,6 +471,21 @@ class TestInfomap:
             got = infomap(g, AlgoParams(seed=seed))
             all_in_one = Partition([0] * g.node_count)
             assert description_length(g, got) <= description_length(g, all_in_one) + 1e-12
+
+    def test_annealed_membership_matches_pinned_digest(self):
+        """Pins the annealing pass, which no pinned records file runs: on
+        this network it changes the partition the local moves return."""
+        pin_file = Path(__file__).parent / "data" / "pinned_infomap_anneal.json"
+        pin = json.loads(pin_file.read_text())
+
+        def digest(values):
+            return hashlib.sha256(json.dumps(values).encode()).hexdigest()
+
+        g = generate(LfrConfig(**pin["lfr_config"])).graph
+        assert digest(g.edges) == pin["edges_sha256"]
+        got = infomap(g, AlgoParams(seed=pin["algo_seed"], infomap_anneal=True))
+        assert got != infomap(g, AlgoParams(seed=pin["algo_seed"]))
+        assert digest(list(got.membership)) == pin["membership_sha256"]
 
     def test_anneal_refinement_smoke(self, ring_of_triangles):
         got = infomap(ring_of_triangles, AlgoParams(seed=3, infomap_anneal=True))

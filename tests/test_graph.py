@@ -67,9 +67,10 @@ class TestGraphConstruction:
             for given in (np.array(edges, dtype=np.int64).reshape(-1, 2),
                           np.array(edges, dtype=np.int32).reshape(-1, 2)):
                 a, b = Graph(g.node_count, given), Graph(g.node_count, edges)
-                for name in Graph.__slots__:
+                for name in ("indptr", "indices", "weights", "self_loops"):
                     assert np.array_equal(getattr(a, name), getattr(b, name))
                     assert getattr(a, name).dtype == getattr(b, name).dtype
+                assert a.row_view == b.row_view
 
     def test_arrays_read_only_and_shared_by_sparse_view(self, triangle):
         with pytest.raises(ValueError):
@@ -244,9 +245,15 @@ class TestAgainstNetworkx:
     def test_degrees_and_neighbors(self, pair):
         g, ref = pair
         assert g.edge_count == ref.number_of_edges()
+        nbrs, wts = g.row_view
+        assert len(nbrs) == len(wts) == g.node_count
         for v in range(g.node_count):
             assert g.degree(v) == ref.degree(v)
             assert g.neighbors(v) == sorted(ref.neighbors(v))
+            assert type(nbrs[v]) is tuple and type(wts[v]) is tuple
+            assert list(nbrs[v]) == g.neighbors(v)
+            assert wts[v] == (1.0,) * g.degree(v)
+        assert g.row_view is g.row_view
 
     def test_connected_components(self, pair):
         nx = pytest.importorskip("networkx")
@@ -285,6 +292,10 @@ class TestAgainstNetworkx:
         for a, b in q.edges:
             row = q.neighbors(a)
             assert q.weights[q.indptr[a] + row.index(b)] == cross[(a, b)]
+        nbrs, wts = q.row_view
+        for a in range(q.node_count):
+            assert list(nbrs[a]) == q.neighbors(a)
+            assert wts[a] == tuple(cross[(min(a, b), max(a, b))] for b in nbrs[a])
 
 
 class TestPartition:

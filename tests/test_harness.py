@@ -175,6 +175,19 @@ class TestRunSweep:
             (tmp_path / "p" / "records.csv").read_text()
         )
 
+    def test_record_cell_key_is_its_cells_key(self):
+        spec = SweepSpec(
+            node_counts=(60,), avg_degrees=(6, 7.5), gammas=(2.5,), betas=(1.5,),
+            mu_grid=(0.15, 0.3, 0.15), replicates=1, algorithms=("label_propagation",),
+            master_seed=7,
+        )
+        # A record's seed is derived from its cell's key, so it names the cell.
+        cell_of = {derive_seed(7, cell.key(), 0): cell for cell in spec.cells()}
+        outcome = run_sweep(spec)
+        assert len(outcome.records) == len(cell_of) == 4
+        for record in outcome.records:
+            assert record.cell_key() == cell_of[record.seed].key()
+
     def test_beyond_limit_cells_run_and_flagged(self):
         spec = SweepSpec(
             node_counts=(60,), avg_degrees=(6,), gammas=(3.0,), betas=(2.0,),
