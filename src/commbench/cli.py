@@ -9,11 +9,13 @@ import sys
 import time
 import typing
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .algorithms import ALGORITHMS, AlgoParams
 from .graph import read_edge_list, read_membership, write_edge_list, write_membership
 from .harness import (
+    CellSummary,
     SweepSpec,
     correlation_table,
     emit_csv,
@@ -25,8 +27,28 @@ from .harness import (
 from .lfr import LfrConfig, generate
 from .metrics import measured_mixing, modularity, partition_nmi
 
-#: AlgoParams field -> type; `detect` takes each as --field-name
-_PARAM_TYPES = typing.get_type_hints(AlgoParams)
+#: summary columns that select the slice `report` plots; figure2 ignores avg_degree
+_PLOT_SLICES = ("n", "avg_degree", "gamma", "beta")
+
+
+def _add_field_flags(parser, cls, **aliases):
+    """Add one typed --field-name flag per field of dataclass `cls`: bools
+    are switches, fields without a default are required, and `aliases`
+    maps a field name to further spellings of its flag."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]  # int | None -> int
+        flags = ["--" + f.name.replace("_", "-"), *aliases.get(f.name, ())]
+        if kind is bool:
+            parser.add_argument(*flags, dest=f.name, action="store_true", default=None)
+        else:
+            parser.add_argument(*flags, dest=f.name, type=kind, required=f.default is MISSING)
+
+
+def _from_flags(cls, args):
+    """Build `cls` from the flags that were given; the rest keep the
+    dataclass defaults."""
+    return cls(**{f.name: v for f in fields(cls) if (v := getattr(args, f.name)) is not None})
 
 
 def _build_parser():
@@ -37,30 +59,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate one planted-partition network")
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--avg-degree", type=float, required=True)
-    gen.add_argument("--max-degree", type=int, required=True)
-    gen.add_argument("--gamma", type=float, required=True)
-    gen.add_argument("--beta", type=float, required=True)
-    gen.add_argument("--mu", type=float, required=True)
-    gen.add_argument("--min-community", type=int)
-    gen.add_argument("--max-community", type=int)
-    gen.add_argument("--mixing-tolerance", type=float, default=0.02)
-    gen.add_argument("--max-rewire-iterations", type=int)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--allow-beyond-limit", action="store_true")
+    _add_field_flags(gen, LfrConfig, allow_mu_beyond_limit=["--allow-beyond-limit"])
     gen.add_argument("--out", required=True, help="output path prefix")
 
     det = sub.add_parser("detect", help="run one algorithm on an edge list")
     det.add_argument("--edges", required=True)
     det.add_argument("--node-count", type=int)
     det.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
-    for name, kind in _PARAM_TYPES.items():
-        flag = "--" + name.replace("_", "-")
-        if kind is bool:
-            det.add_argument(flag, action="store_true")
-        else:
-            det.add_argument(flag, type=kind)
+    _add_field_flags(det, AlgoParams)
     det.add_argument("--out", required=True, help="membership output path")
 
     sco = sub.add_parser("score", help="score an estimated partition against the actual one")
@@ -81,29 +87,14 @@ def _build_parser():
     rep.add_argument("--out", required=True)
     rep.add_argument("--figure1", action="store_true")
     rep.add_argument("--figure2", metavar="ALGORITHM")
-    rep.add_argument("--n", type=int)
-    rep.add_argument("--avg-degree", type=float)
-    rep.add_argument("--gamma", type=float)
-    rep.add_argument("--beta", type=float)
+    column_types = typing.get_type_hints(CellSummary)
+    for name in _PLOT_SLICES:
+        rep.add_argument("--" + name.replace("_", "-"), type=column_types[name])
     return parser
 
 
 def _cmd_generate(args):
-    config = LfrConfig(
-        n=args.n,
-        avg_degree=args.avg_degree,
-        max_degree=args.max_degree,
-        gamma=args.gamma,
-        beta=args.beta,
-        mu=args.mu,
-        min_community=args.min_community,
-        max_community=args.max_community,
-        mixing_tolerance=args.mixing_tolerance,
-        max_rewire_iterations=args.max_rewire_iterations,
-        seed=args.seed,
-        allow_mu_beyond_limit=args.allow_beyond_limit,
-    )
-    net = generate(config)
+    net = generate(_from_flags(LfrConfig, args))
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_edge_list(net.graph, f"{prefix}.edges")
@@ -136,17 +127,11 @@ def _cmd_generate(args):
 
 def _cmd_detect(args):
     graph = read_edge_list(args.edges, node_count=args.node_count)
-    params = AlgoParams(**{
-        name: getattr(args, name) for name in _PARAM_TYPES if getattr(args, name) is not None
-    })
+    params = _from_flags(AlgoParams, args)
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("default")
-        try:
-            partition = ALGORITHMS[args.algorithm](graph, params)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+        partition = ALGORITHMS[args.algorithm](graph, params)
     runtime_ms = (time.perf_counter() - start) * 1e3
     write_membership(partition, args.out)
     print(
@@ -177,9 +162,7 @@ def _cmd_sweep(args):
     spec = SweepSpec.from_file(args.spec)
     out_dir = args.out or spec.output_dir
     if not out_dir:
-        print("error: no output directory (pass --out or set output_dir in the spec)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("no output directory (pass --out or set output_dir in the spec)")
     out = Path(out_dir)
     artifact_dir = None if args.no_artifacts else out / "runs"
     outcome = run_sweep(spec, workers=args.workers, artifact_dir=artifact_dir)
@@ -208,17 +191,13 @@ def _cmd_report(args):
     (out / "correlations.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     summaries = summarize(records)
-    slice_kwargs = dict(n=args.n, gamma=args.gamma, beta=args.beta)
+    slice_kwargs = {name: getattr(args, name) for name in _PLOT_SLICES}
     if args.figure1:
-        path = emit_plot_data(
-            summaries, "figure1", out / "figure1.dat",
-            avg_degree=args.avg_degree, **slice_kwargs,
-        )
+        path = emit_plot_data(summaries, "figure1", out / "figure1.dat", **slice_kwargs)
         print(f"wrote {path}")
     if args.figure2:
         path = emit_plot_data(
-            summaries, "figure2", out / "figure2.dat",
-            algorithm=args.figure2, **slice_kwargs,
+            summaries, "figure2", out / "figure2.dat", algorithm=args.figure2, **slice_kwargs
         )
         print(f"wrote {path}")
     return 0
@@ -233,7 +212,11 @@ def main(argv=None):
         "sweep": _cmd_sweep,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

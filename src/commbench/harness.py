@@ -8,13 +8,14 @@ results are byte-identical regardless of worker count or scheduling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import time
 import typing
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, asdict, dataclass, field, fields
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -151,10 +152,15 @@ def _asscalar(value):
     return value
 
 
+@functools.cache
+def _float_fields(cls):
+    return tuple(name for name, kind in typing.get_type_hints(cls).items() if kind is float)
+
+
 @dataclass(frozen=True)
-class RunRecord:
-    """One (algorithm, network, replicate) result row. Floats are stored at
-    6 significant digits, matching the CSV format exactly."""
+class CellColumns:
+    """Leading columns shared by records.csv and summary.csv rows. Floats
+    are stored at 6 significant digits, matching the CSV format exactly."""
 
     algorithm: str
     n: int
@@ -163,6 +169,20 @@ class RunRecord:
     gamma: float
     beta: float
     mu_target: float
+
+    def __post_init__(self):
+        for name in _float_fields(type(self)):
+            object.__setattr__(self, name, _sig6(getattr(self, name)))
+
+    def cell_key(self):
+        grid = (self.n, self.avg_degree, self.max_degree, self.gamma, self.beta, self.mu_target)
+        return Cell(*grid).key()
+
+
+@dataclass(frozen=True)
+class RunRecord(CellColumns):
+    """One (algorithm, network, replicate) result row."""
+
     mu_realized: float
     mu_limit: float
     replicate: int
@@ -174,20 +194,11 @@ class RunRecord:
     runtime_ms: float
     flags: str
 
-    def __post_init__(self):
-        for name, kind in _RECORD_FIELDS.items():
-            if kind is float:
-                object.__setattr__(self, name, _sig6(getattr(self, name)))
-
     def sort_key(self):
         return (
             self.n, self.avg_degree, self.gamma, self.beta, self.mu_target,
             self.replicate, self.algorithm,
         )
-
-    def cell_key(self):
-        grid = (self.n, self.avg_degree, self.max_degree, self.gamma, self.beta, self.mu_target)
-        return Cell(*grid).key()
 
 
 #: records.csv column -> type, in column order (stable contract).
@@ -196,16 +207,9 @@ RECORD_COLUMNS = tuple(_RECORD_FIELDS)
 
 
 @dataclass(frozen=True)
-class CellSummary:
+class CellSummary(CellColumns):
     """Per-cell, per-algorithm aggregate over replicates."""
 
-    algorithm: str
-    n: int
-    avg_degree: float
-    max_degree: int
-    gamma: float
-    beta: float
-    mu_target: float
     runs: int
     mean_nmi: float
     std_nmi: float
@@ -240,16 +244,7 @@ def derive_seed(master_seed, cell_key, replicate) -> int:
 def _run_unit(args):
     spec, cell, replicate, artifact_dir = args
     seed = derive_seed(spec.master_seed, cell.key(), replicate)
-    config = LfrConfig(
-        n=cell.n,
-        avg_degree=cell.avg_degree,
-        max_degree=cell.max_degree,
-        gamma=cell.gamma,
-        beta=cell.beta,
-        mu=cell.mu,
-        seed=seed,
-        allow_mu_beyond_limit=True,
-    )
+    config = LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -285,13 +280,8 @@ def _run_unit(args):
             write_membership(estimated, unit_dir / f"{algo}.membership")
         records.append(
             RunRecord(
-                algorithm=algo,
-                n=cell.n,
-                avg_degree=cell.avg_degree,
-                max_degree=cell.max_degree,
-                gamma=cell.gamma,
-                beta=cell.beta,
-                mu_target=cell.mu,
+                algo,
+                *astuple(cell),  # Cell's fields are the grid columns, in order
                 mu_realized=net.realized_mu,
                 mu_limit=net.mu_limit,
                 replicate=replicate,
@@ -345,25 +335,18 @@ def summarize(records) -> list:
         groups.setdefault((rec.sort_key()[:5], rec.algorithm), []).append(rec)
     out = []
     for (_, _algo), recs in sorted(groups.items()):
-        first = recs[0]
         nmis = [r.nmi for r in recs]
         mean = math.fsum(nmis) / len(nmis)
         var = math.fsum((x - mean) ** 2 for x in nmis) / len(nmis)
         out.append(
             CellSummary(
-                algorithm=first.algorithm,
-                n=first.n,
-                avg_degree=first.avg_degree,
-                max_degree=first.max_degree,
-                gamma=first.gamma,
-                beta=first.beta,
-                mu_target=first.mu_target,
+                **{f.name: getattr(recs[0], f.name) for f in fields(CellColumns)},
                 runs=len(recs),
-                mean_nmi=_sig6(mean),
-                std_nmi=_sig6(math.sqrt(var)),
-                mean_runtime_ms=_sig6(math.fsum(r.runtime_ms for r in recs) / len(recs)),
-                mean_mu_realized=_sig6(math.fsum(r.mu_realized for r in recs) / len(recs)),
-                mean_mu_limit=_sig6(math.fsum(r.mu_limit for r in recs) / len(recs)),
+                mean_nmi=mean,
+                std_nmi=math.sqrt(var),
+                mean_runtime_ms=math.fsum(r.runtime_ms for r in recs) / len(recs),
+                mean_mu_realized=math.fsum(r.mu_realized for r in recs) / len(recs),
+                mean_mu_limit=math.fsum(r.mu_limit for r in recs) / len(recs),
             )
         )
     return out
@@ -383,6 +366,10 @@ def correlate(records, parameter, algorithm=None) -> float:
     summaries = summarize(records)
     if algorithm is not None:
         summaries = [s for s in summaries if s.algorithm == algorithm]
+    return _correlate_summaries(summaries, parameter, algorithm)
+
+
+def _correlate_summaries(summaries, parameter, algorithm):
     if not summaries:
         raise ValueError(f"no records for algorithm {algorithm!r}")
     xs = [_cell_parameter(s, parameter) for s in summaries]
@@ -394,16 +381,19 @@ def correlate(records, parameter, algorithm=None) -> float:
 
 def correlation_table(records):
     """{algorithm or 'overall' -> {parameter -> r or None}} over all
-    parameters that vary."""
-    algos = sorted({r.algorithm for r in records})
+    parameters that vary; equals `correlate` per entry, from one summary."""
+    summaries = summarize(records) if records else []
+    groups = {}
+    for s in summaries:
+        groups.setdefault(s.algorithm, []).append(s)
+    groups = dict(sorted(groups.items()))
+    groups["overall"] = summaries
     table = {}
-    for name in algos + ["overall"]:
+    for name, group in groups.items():
         row = {}
         for parameter in SWEEP_PARAMETERS:
             try:
-                row[parameter] = correlate(
-                    records, parameter, algorithm=None if name == "overall" else name
-                )
+                row[parameter] = _correlate_summaries(group, parameter, name)
             except ValueError:
                 row[parameter] = None
         table[name] = row

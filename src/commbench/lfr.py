@@ -74,6 +74,11 @@ class LfrConfig:
                 )
         if self.mixing_tolerance <= 0:
             raise ValueError("mixing_tolerance must be positive")
+        if self.max_rewire_iterations is not None and self.max_rewire_iterations < 1:
+            raise ValueError(
+                f"max_rewire_iterations must be >= 1 (or None for 50*m), "
+                f"got {self.max_rewire_iterations}"
+            )
 
     def with_resolved_bounds(self, k_min: int) -> "LfrConfig":
         """Fill in default community-size bounds given the realized minimum
@@ -548,7 +553,7 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                 delta += inv_deg[u] + inv_deg[v]
         return delta
 
-    budget = config.max_rewire_iterations if config.max_rewire_iterations else 50 * m
+    budget = 50 * m if config.max_rewire_iterations is None else config.max_rewire_iterations
     # Drive the gap well inside the tolerance band rather than stopping at
     # its edge; the budget is checked against the full tolerance below.
     inner_tol = 0.25 * tol

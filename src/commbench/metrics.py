@@ -32,9 +32,6 @@ class ConfusionMatrix:
         self.col_marginals = counts.sum(axis=0)
         self.total = int(counts.sum())
 
-    def transpose(self):
-        return ConfusionMatrix(self.counts.T)
-
     def __repr__(self):
         return f"ConfusionMatrix(shape={self.counts.shape}, n={self.total})"
 

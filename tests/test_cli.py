@@ -1,11 +1,17 @@
 import dataclasses
 import json
+import typing
 
 import pytest
 
+from commbench import cli
 from commbench.algorithms import ALGORITHMS, AlgoParams
 from commbench.cli import main
-from commbench.graph import Partition, read_edge_list, read_membership
+from commbench.graph import Partition, read_edge_list, read_membership, write_membership
+from commbench.lfr import LfrConfig
+
+
+REQUIRED_LFR_FIELDS = dict(n=120, avg_degree=6.0, max_degree=18, gamma=3.0, beta=2.0, mu=0.1)
 
 
 @pytest.fixture
@@ -32,6 +38,64 @@ class TestGenerateCommand:
         assert abs(meta["realized_mu"] - 0.1) <= meta["mixing_tolerance"]
         assert 0 < meta["mu_limit"] <= 1
         assert "realized_mu_global" in meta
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Record each LfrConfig that `generate` gets, and build a small
+        fixed network instead."""
+        seen = []
+        real_generate = cli.generate
+
+        def record(config):
+            seen.append(config)
+            return real_generate(LfrConfig(**REQUIRED_LFR_FIELDS))
+
+        monkeypatch.setattr(cli, "generate", record)
+        return seen
+
+    def test_every_lfr_field_has_a_typed_flag(self, seen, tmp_path):
+        hints = typing.get_type_hints(LfrConfig)
+        argv = ["generate", "--out", str(tmp_path / "net")]
+        expected = {}
+        for i, f in enumerate(dataclasses.fields(LfrConfig)):
+            flag = "--" + f.name.replace("_", "-")
+            if hints[f.name] is bool:
+                expected[f.name] = not f.default
+                argv.append(flag)
+            else:
+                # int | None -> int; floats get a fraction an int flag rejects
+                kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+                expected[f.name] = i + 2 if kind is int else i + 0.25
+                argv += [flag, str(expected[f.name])]
+        assert main(argv) == 0
+        (config,) = seen
+        assert config == LfrConfig(**expected)
+        for name, value in expected.items():
+            assert type(getattr(config, name)) is type(value), name
+
+    def test_unset_flags_keep_config_defaults(self, seen, tmp_path):
+        argv = ["generate", "--out", str(tmp_path / "net")]
+        for name, value in REQUIRED_LFR_FIELDS.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        assert main(argv + ["--allow-beyond-limit"]) == 0
+        assert main(argv + ["--allow-mu-beyond-limit"]) == 0
+        default, *allowed = seen
+        assert default == LfrConfig(**REQUIRED_LFR_FIELDS)
+        assert allowed == [LfrConfig(**REQUIRED_LFR_FIELDS, allow_mu_beyond_limit=True)] * 2
+
+    @pytest.mark.parametrize("missing", sorted(
+        f.name for f in dataclasses.fields(LfrConfig) if f.default is dataclasses.MISSING
+    ))
+    def test_fields_without_default_are_required(self, missing, tmp_path, capsys):
+        argv = ["generate", "--out", str(tmp_path / "net")]
+        for name, value in REQUIRED_LFR_FIELDS.items():
+            if name != missing:
+                argv += ["--" + name.replace("_", "-"), str(value)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--" + missing.replace("_", "-") in capsys.readouterr().err
 
 
 class TestDetectCommand:
@@ -183,3 +247,51 @@ class TestSweepAndReport:
         rc = main(["sweep", "--spec", str(spec_path)])
         assert rc == 2
         assert "output directory" in capsys.readouterr().err
+
+
+class TestErrorLine:
+    """Every command reports a bad input as one `error: <message>` line on
+    stderr and exits 2."""
+
+    def check(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mu", "1.5"], "mu must be in (0,1)"),
+            (["--mu", "0.1", "--max-rewire-iterations", "0"],
+             "max_rewire_iterations must be >= 1"),
+        ],
+    )
+    def test_generate(self, tmp_path, capsys, flags, message):
+        argv = [
+            "generate", "--n", "120", "--avg-degree", "6", "--max-degree", "18",
+            "--gamma", "3", "--beta", "2", *flags, "--out", str(tmp_path / "net"),
+        ]
+        self.check(argv, message, capsys)
+        assert not list(tmp_path.iterdir())
+
+    def test_score_with_membership_of_another_size(self, generated, tmp_path, capsys):
+        short = tmp_path / "short.membership"
+        write_membership(Partition([0] * 50), short)
+        argv = [
+            "score", "--edges", f"{generated}.edges", "--node-count", "120",
+            "--actual", f"{generated}.membership", "--estimated", str(short),
+        ]
+        self.check(argv, "partition does not cover", capsys)
+
+    def test_report_on_foreign_csv_header(self, tmp_path, capsys):
+        foreign = tmp_path / "records.csv"
+        foreign.write_text("name,value\na,1\n")
+        argv = ["report", "--records", str(foreign), "--out", str(tmp_path / "rep")]
+        self.check(argv, "unexpected records.csv header", capsys)
+
+    def test_sweep_with_unknown_spec_key(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"node_counts": [60], "replicate": 2}')
+        argv = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "sweep")]
+        self.check(argv, "unknown sweep spec keys: ['replicate']", capsys)

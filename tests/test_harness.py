@@ -5,6 +5,9 @@ import pytest
 
 from commbench.graph import read_edge_list, read_membership
 from commbench.harness import (
+    RECORD_COLUMNS,
+    SUMMARY_COLUMNS,
+    SWEEP_PARAMETERS,
     Cell,
     CellSummary,
     RunRecord,
@@ -283,6 +286,31 @@ class TestCorrelate:
         assert table["overall"]["mu"] == pytest.approx(-1.0)
         assert table["overall"]["beta"] is None
 
+    def test_table_equals_per_pair_correlate(self):
+        records = [
+            make_record(algorithm="louvain", n=n, mu_target=mu, nmi=1 - mu - n / 1e4, replicate=r)
+            for n in (100, 1000)
+            for mu in (0.1, 0.3, 0.5)
+            for r in range(2)
+        ] + [
+            make_record(algorithm="walktrap", mu_target=mu, nmi=nmi)
+            for mu, nmi in ((0.1, 0.7), (0.3, 0.9), (0.5, 0.2))
+        ]
+        table = correlation_table(records)
+        assert list(table) == ["louvain", "walktrap", "overall"]
+        assert table["walktrap"]["n"] is None
+        assert table["louvain"]["n"] is not None
+        for name, row in table.items():
+            assert tuple(row) == SWEEP_PARAMETERS
+            for parameter, r in row.items():
+                try:
+                    expected = correlate(
+                        records, parameter, algorithm=None if name == "overall" else name
+                    )
+                except ValueError:
+                    expected = None
+                assert r == expected, (name, parameter)
+
 
 class TestEmitCsv:
     def test_empty_records_give_header_only(self, tmp_path):
@@ -312,6 +340,20 @@ def make_summary(**overrides):
     )
     base.update(overrides)
     return CellSummary(**base)
+
+
+class TestCellColumns:
+    def test_summary_floats_stored_at_six_digits(self):
+        summary = make_summary(avg_degree=7.123456789, mean_nmi=0.123456789)
+        assert summary.avg_degree == 7.12346
+        assert summary.mean_nmi == 0.123457
+        assert summary.runs == 25
+
+    def test_record_and_summary_share_leading_columns(self):
+        leading = ("algorithm", "n", "avg_degree", "max_degree", "gamma", "beta", "mu_target")
+        assert RECORD_COLUMNS[:7] == SUMMARY_COLUMNS[:7] == leading
+        record = make_record()
+        assert record.cell_key() == summarize([record])[0].cell_key()
 
 
 class TestEmitPlotData:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -541,6 +542,18 @@ class TestRewireMatchesScalarOracle:
         assert got == want
         assert len(got_warn) == 1 and "budget exhausted" in got_warn[0]
         assert got_warn == want_warn
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_rewire_budget_below_one_rejected(self, iterations):
+        config = LfrConfig(
+            n=300, avg_degree=10, max_degree=30, gamma=3.0, beta=2.0, mu=0.3,
+            max_rewire_iterations=iterations,
+        )
+        with pytest.raises(ValueError, match="max_rewire_iterations must be >= 1"):
+            generate(config)
+        dataclasses.replace(config, max_rewire_iterations=1).validate()
 
 
 class TestGenerate:
