@@ -15,6 +15,11 @@ class ConvergenceWarning(UserWarning):
     """An iterative stage hit its cap before reaching its stopping rule."""
 
 
+def _require_edges(graph):
+    if graph.edge_count == 0:
+        raise ValueError("needs at least one edge")
+
+
 @dataclass(frozen=True)
 class AlgoParams:
     """Tuning knobs shared by the algorithm suite; every stochastic

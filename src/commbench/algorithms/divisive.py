@@ -19,6 +19,7 @@ import heapq
 import numpy as np
 
 from ..graph import Graph, Partition, connected_components
+from . import _require_edges
 
 
 def _coefficient(tri, du, dv):
@@ -105,8 +106,7 @@ def radetal(graph: Graph) -> Partition:
     smallest edge. Q is scored on the original graph after every split,
     and the first level of largest Q is returned.
     """
-    if graph.edge_count == 0:
-        raise ValueError("needs at least one edge")
+    _require_edges(graph)
     n = graph.node_count
     m = graph.edge_count
     four_m2 = 4.0 * m * m

@@ -4,7 +4,8 @@ module for its nodes and exits).
 
 Node visit rates are degree-proportional for the undirected walk; module
 exit rates are proportional to inter-module edge weight. Optimization is
-Louvain-style local moving with graph aggregation, with an optional
+the local-moving pass shared with louvain, `modularity_opt._local_moves`,
+fed this module's move score, with graph aggregation and an optional
 simulated-annealing refinement pass.
 """
 
@@ -16,6 +17,7 @@ import random
 import numpy as np
 
 from ..graph import Graph, Partition
+from . import _require_edges
 from .modularity_opt import _aggregate_levels
 
 
@@ -65,73 +67,50 @@ def description_length(graph, partition: Partition) -> float:
     return _length_from_state(p_mod, w_out, two_w, _node_term(strength, two_w))
 
 
-def _map_local_pass(graph, rng):
-    """Sweep-until-stable local moves minimizing description length on one
-    aggregation level. Returns (labels, moved_any)."""
-    n = graph.node_count
-    nbrs, wts = graph.row_view
+def _map_gain(graph):
+    """Infomap's move score on one level: minus the change in description
+    length when node v leaves its module for another (0 for staying)."""
     self_w = graph.self_loops.tolist()
     strength = graph.strengths().tolist()
     two_w = graph.total_strength
-    comm = list(range(n))
     p_mod = list(strength)
-    w_out = [strength[v] - self_w[v] for v in range(n)]
+    w_out = [s - w for s, w in zip(strength, self_w)]
     q_tot = sum(w_out)
-    moved_any = False
 
-    for _ in range(1000):
-        improved = False
-        for v in rng.permutation(n):
-            v = int(v)
-            cur = comm[v]
-            links = {}
-            for u, wt in zip(nbrs[v], wts[v]):
-                links[comm[u]] = links.get(comm[u], 0.0) + wt
-            k_cross = strength[v] - self_w[v]
-            e_cur = links.get(cur, 0.0)
-            s_v = strength[v]
+    def without(v, cur, e_cur):  # v's cross weight; exit weights with v taken out
+        k_cross = strength[v] - self_w[v]
+        out_cur = w_out[cur] - k_cross + 2.0 * e_cur
+        return k_cross, out_cur, q_tot - w_out[cur] + out_cur
 
-            # State with v removed from its module.
-            out_cur_removed = w_out[cur] - k_cross + 2.0 * e_cur
-            p_cur_removed = p_mod[cur] - s_v
-            base_q_tot = q_tot - w_out[cur] + out_cur_removed
+    def leave(v, cur, e_cur, links):
+        s_v = strength[v]
+        k_cross, out_cur, base_q_tot = without(v, cur, e_cur)
+        plogp_q_tot = _plogp(q_tot / two_w)
+        delta_cur = _module_terms(out_cur, p_mod[cur] - s_v, two_w)
+        delta_cur -= _module_terms(w_out[cur], p_mod[cur], two_w)
+        scores = []
+        for c, e_c in links.items():
+            out_new = w_out[c] + k_cross - 2.0 * e_c
+            delta = (
+                _plogp((base_q_tot - w_out[c] + out_new) / two_w)
+                - plogp_q_tot
+                + delta_cur
+                + _module_terms(out_new, p_mod[c] + s_v, two_w)
+                - _module_terms(w_out[c], p_mod[c], two_w)
+            )
+            scores.append(-delta)
+        return 0.0, scores
 
-            plogp_q_tot = _plogp(q_tot / two_w)
-            delta_cur = _module_terms(out_cur_removed, p_cur_removed, two_w)
-            delta_cur -= _module_terms(w_out[cur], p_mod[cur], two_w)
-            best_comm, best_delta, ties = cur, 0.0, 1
-            for cand in sorted(links):
-                if cand == cur:
-                    continue
-                out_new = w_out[cand] + k_cross - 2.0 * links[cand]
-                q_tot_new = base_q_tot - w_out[cand] + out_new
-                delta = (
-                    _plogp(q_tot_new / two_w)
-                    - plogp_q_tot
-                    + delta_cur
-                    + _module_terms(out_new, p_mod[cand] + s_v, two_w)
-                    - _module_terms(w_out[cand], p_mod[cand], two_w)
-                )
-                if delta < best_delta - 1e-13:
-                    best_comm, best_delta, ties = cand, delta, 1
-                elif best_comm != cur and abs(delta - best_delta) <= 1e-13:
-                    ties += 1
-                    if rng.random() < 1.0 / ties:
-                        best_comm = cand
-            if best_comm != cur:
-                e_new = links[best_comm]
-                w_out[cur] = out_cur_removed
-                p_mod[cur] = p_cur_removed
-                new_out = w_out[best_comm] + k_cross - 2.0 * e_new
-                q_tot = base_q_tot - w_out[best_comm] + new_out
-                w_out[best_comm] = new_out
-                p_mod[best_comm] += s_v
-                comm[v] = best_comm
-                improved = True
-                moved_any = True
-        if not improved:
-            break
-    return comm, moved_any
+    def join(v, cur, best, e_cur, links):
+        nonlocal q_tot
+        k_cross, w_out[cur], base_q_tot = without(v, cur, e_cur)
+        p_mod[cur] -= strength[v]
+        out_new = w_out[best] + k_cross - 2.0 * links[best]
+        q_tot = base_q_tot - w_out[best] + out_new
+        w_out[best] = out_new
+        p_mod[best] += strength[v]
+
+    return leave, join
 
 
 def _anneal_refine(graph, labels, params):
@@ -197,11 +176,10 @@ def infomap(graph: Graph, params) -> Partition:
     aggregation (plus optional annealing refinement); the all-in-one
     partition is always a candidate, so the result never describes the walk
     worse than no partition at all."""
-    if graph.edge_count == 0:
-        raise ValueError("needs at least one edge")
+    _require_edges(graph)
     params.validate()
     rng = np.random.default_rng(params.seed)
-    member = _aggregate_levels(graph, _map_local_pass, rng)
+    member = _aggregate_levels(graph, _map_gain, 1e-13, rng)
     if params.infomap_anneal:
         member = _anneal_refine(graph, member, params)
     result = Partition.from_labels(member)

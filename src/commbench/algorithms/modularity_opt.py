@@ -1,5 +1,7 @@
 """Modularity-optimizing detectors: greedy agglomeration, two-phase local
 moving with graph aggregation, and simulated annealing over spin states.
+`_local_moves` is the one local-moving pass, shared by louvain and infomap;
+each supplies only its move score.
 """
 
 from __future__ import annotations
@@ -12,11 +14,7 @@ import numpy as np
 
 from ..graph import Graph, Partition, quotient_graph
 from ..metrics import modularity
-
-
-def _require_edges(graph):
-    if graph.edge_count == 0:
-        raise ValueError("needs at least one edge")
+from . import _require_edges
 
 
 class _Agglomeration:
@@ -117,68 +115,91 @@ def fastgreedy(graph: Graph) -> Partition:
     return agg.run(heap, lambda a, x: (-delta_q(a, x),))
 
 
-def _local_moving_pass(graph, rng):
-    """One seeded sweep-until-stable phase of greedy modularity moves on
-    one aggregation level. Returns (membership labels, moved_any)."""
+def _local_moves(graph, rng, objective, tol):
+    """One seeded sweep-until-stable phase of greedy local moves on one
+    aggregation level; returns (membership labels, moved_any).
+    `objective(graph)` returns `leave(v, cur, e_cur, links)`, giving the
+    score of node v staying in `cur` (weight e_cur into it) and one score
+    per community in `links` (the others adjacent to v, with v's weight
+    into each), higher being better, and `join(v, cur, best, e_cur, links)`,
+    which moves v. Scanned in increasing order, a candidate that beats the
+    best score by more than `tol` replaces it and one within `tol` ties. A
+    tie with staying never moves; ties among strictly better candidates
+    break uniformly, one draw per tie."""
     n = graph.node_count
     nbrs, wts = graph.row_view
-    strength = graph.strengths().tolist()
-    two_w = graph.total_strength
+    unit = bool((graph.weights == 1.0).all())
+    leave, join = objective(graph)
     comm = list(range(n))
-    sigma_tot = list(strength)
     moved_any = False
     for _ in range(1000):  # safety cap; the sweep loop settles long before
         improved = False
-        for v in rng.permutation(n):
-            v = int(v)
-            k_v = strength[v]
+        for v in rng.permutation(n).tolist():
             cur = comm[v]
             links = {}
-            for u, wt in zip(nbrs[v], wts[v]):
-                links[comm[u]] = links.get(comm[u], 0.0) + wt
-            sigma_tot[cur] -= k_v
-            best_comm = cur
-            best_gain = links.get(cur, 0.0) - sigma_tot[cur] * k_v / two_w
-            ties = 1
-            for cand in sorted(links):
-                if cand == cur:
-                    continue
-                gain = links[cand] - sigma_tot[cand] * k_v / two_w
-                if gain > best_gain:
-                    best_comm, best_gain, ties = cand, gain, 1
-                elif gain == best_gain and best_comm != cur:
-                    # Ties with the current community never move; ties among
-                    # strictly better candidates break uniformly.
+            if unit:  # input graphs: no (node, weight) pairs to unpack in the costliest loop
+                for u in nbrs[v]:
+                    c = comm[u]
+                    links[c] = links.get(c, 0.0) + 1.0
+            else:
+                for u, wt in zip(nbrs[v], wts[v]):
+                    c = comm[u]
+                    links[c] = links.get(c, 0.0) + wt
+            e_cur = links.pop(cur, 0.0)
+            stay, scores = leave(v, cur, e_cur, links)
+            if not scores or max(scores) <= stay + tol:
+                continue  # nothing beats staying, so the scan would draw nothing
+            best_comm, best, ties = cur, stay, 1
+            for cand, score in sorted(zip(links, scores)):
+                if score > best + tol:
+                    best_comm, best, ties = cand, score, 1
+                elif best_comm != cur and abs(score - best) <= tol:
                     ties += 1
                     if rng.random() < 1.0 / ties:
                         best_comm = cand
-            sigma_tot[best_comm] += k_v
-            if best_comm != cur:
-                comm[v] = best_comm
-                improved = True
-                moved_any = True
+            join(v, cur, best_comm, e_cur, links)  # the scan always finds a better one
+            comm[v] = best_comm
+            improved = moved_any = True
         if not improved:
             break
     return comm, moved_any
 
 
-def _aggregate_levels(level, local_pass, rng):
-    """Run `local_pass(level, rng) -> (labels, moved_any)` on the graph
-    `level`, then on the quotient graph of each pass's communities, until
-    a pass moves nothing or merges nothing. Returns the community label of
-    each node of the first level."""
-    n = level.node_count
-    member = list(range(n))
+def _aggregate_levels(level, objective, tol, rng):
+    """Run `_local_moves` on the graph `level`, then on the quotient graph
+    of each pass's communities, until a pass moves or merges nothing.
+    Returns the community label of each node of the first level."""
+    member = list(range(level.node_count))
     while True:
-        labels, moved = local_pass(level, rng)
+        labels, moved = _local_moves(level, rng, objective, tol)
         if not moved:
             break
         part = Partition.from_labels(labels)
-        member = [part.membership[member[v]] for v in range(n)]
+        member = [part.membership[m] for m in member]
         if part.num_communities == level.node_count:
             break
         level = quotient_graph(level, part)
     return member
+
+
+def _modularity_gain(graph):
+    """Louvain's move score: the modularity gain, in edge weight, of v
+    joining a community with v out of its own. Totals are sums of integer
+    weights, so `leave` can take v out without storing it."""
+    strength = graph.strengths().tolist()
+    two_w = graph.total_strength
+    sigma_tot = list(strength)
+
+    def leave(v, cur, e_cur, links):
+        k_v = strength[v]
+        stay = e_cur - (sigma_tot[cur] - k_v) * k_v / two_w
+        return stay, [w - sigma_tot[c] * k_v / two_w for c, w in links.items()]
+
+    def join(v, cur, best, e_cur, links):
+        sigma_tot[cur] -= strength[v]
+        sigma_tot[best] += strength[v]
+
+    return leave, join
 
 
 def louvain(graph: Graph, params) -> Partition:
@@ -186,7 +207,7 @@ def louvain(graph: Graph, params) -> Partition:
     the community quotient graph, until a pass yields no improvement."""
     _require_edges(graph)
     rng = np.random.default_rng(params.seed)
-    return Partition.from_labels(_aggregate_levels(graph, _local_moving_pass, rng))
+    return Partition.from_labels(_aggregate_levels(graph, _modularity_gain, 0.0, rng))
 
 
 def spinglass(graph: Graph, params) -> Partition:

@@ -39,7 +39,6 @@ def label_propagation(graph: Graph, params) -> Partition:
     adj = graph.row_view[0]
     labels = list(range(n))
     order = list(range(n))
-    converged = False
     for _ in range(params.lp_max_rounds):
         rng.shuffle(order)
         for v in order:
@@ -61,9 +60,8 @@ def label_propagation(graph: Graph, params) -> Partition:
                 cands.sort()
                 labels[v] = cands[rng.randrange(len(cands))]
         if _is_fixed_point(adj, labels):
-            converged = True
             break
-    if not converged:
+    else:
         warnings.warn(
             ConvergenceWarning(
                 f"label propagation hit the round cap ({params.lp_max_rounds}) "

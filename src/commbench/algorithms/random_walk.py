@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
 
 from ..graph import Graph, Partition
-from . import ConvergenceWarning
+from . import ConvergenceWarning, _require_edges
 from .modularity_opt import _Agglomeration
 
 
@@ -30,8 +30,7 @@ def walktrap(graph: Graph, params) -> Partition:
     of each merge only, so a direct distance is one row difference and
     one dot product.
     """
-    if graph.edge_count == 0:
-        raise ValueError("needs at least one edge")
+    _require_edges(graph)
     params.validate()
     rng = random.Random(params.seed)
     n = graph.node_count

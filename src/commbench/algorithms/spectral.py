@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ..graph import Graph, Partition
-from . import ConvergenceWarning
+from . import ConvergenceWarning, _require_edges
 
 #: Groups up to this size are solved densely; ARPACK gains nothing on them.
 _DENSE_MAX_SIZE = 64
@@ -27,8 +27,7 @@ def leading_eigenvector(graph: Graph, params) -> Partition:
     """Recursive sign-split on the leading modularity-matrix eigenvector;
     indivisible groups (non-positive leading eigenvalue, non-positive
     modularity gain, or non-converged eigensolver) become communities."""
-    if graph.edge_count == 0:
-        raise ValueError("needs at least one edge")
+    _require_edges(graph)
     params.validate()
     rng = np.random.default_rng(params.seed)
     n = graph.node_count

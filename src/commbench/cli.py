@@ -214,7 +214,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

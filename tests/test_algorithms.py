@@ -23,6 +23,7 @@ from commbench.algorithms import (
     walktrap,
 )
 from commbench.algorithms.information import description_length
+from commbench.algorithms.modularity_opt import _local_moves
 from commbench.algorithms.random_walk import _column_normalize, _prune, _walk_power
 from commbench.algorithms.spectral import _DENSE_MAX_SIZE, _GroupMatrix, _try_split
 from commbench.graph import Graph, Partition, connected_components, edge_triangle_count
@@ -55,6 +56,10 @@ ORACLE_LFR = [
     LfrConfig(n=300, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.4, seed=1),
     LfrConfig(n=400, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.5, seed=2),
 ]
+
+
+def digest(values):
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
 
 def sparse_graph_with_isolated_nodes(n, p, seed):
@@ -477,10 +482,6 @@ class TestInfomap:
         this network it changes the partition the local moves return."""
         pin_file = Path(__file__).parent / "data" / "pinned_infomap_anneal.json"
         pin = json.loads(pin_file.read_text())
-
-        def digest(values):
-            return hashlib.sha256(json.dumps(values).encode()).hexdigest()
-
         g = generate(LfrConfig(**pin["lfr_config"])).graph
         assert digest(g.edges) == pin["edges_sha256"]
         got = infomap(g, AlgoParams(seed=pin["algo_seed"], infomap_anneal=True))
@@ -494,6 +495,128 @@ class TestInfomap:
         assert description_length(ring_of_triangles, got) <= description_length(
             ring_of_triangles, base
         ) + 1e-9
+
+
+class RecordingRng:
+    """The two draws `_local_moves` makes, from a seeded generator, with
+    every `random()` value kept."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+    def random(self):
+        self.draws.append(self.rng.random())
+        return self.draws[-1]
+
+
+def hub_objective(scores, stay=0.0):
+    """A fake move score on a star with hub 0: the hub's first visit scores
+    each leaf's community from `scores` (leaf -> score) against `stay`, and
+    every other visit prefers staying. Returns (objective, moves made)."""
+    moves = []
+
+    def objective(graph):
+        def leave(v, cur, e_cur, links):
+            if v == 0 and not moves:
+                return stay, [scores[c] for c in links]
+            return 0.0, [-1.0] * len(links)
+
+        def join(v, cur, best, e_cur, links):
+            moves.append((v, cur, best))
+
+        return leave, join
+
+    return objective, moves
+
+
+STAR = Graph(6, [(0, leaf) for leaf in range(1, 6)])
+
+
+class TestLocalMoves:
+    """The local-moving pass shared by louvain and infomap: candidate
+    order, tie policy and tolerance, checked with a fake move score."""
+
+    @pytest.mark.parametrize("tol, offset", [(0.0, 0.0), (1e-13, 5e-14), (1e-13, -5e-14)])
+    def test_tie_with_staying_never_moves(self, tol, offset):
+        objective, moves = hub_objective(dict.fromkeys(range(1, 6), 2.0 + offset), stay=2.0)
+        rng = RecordingRng(3)
+        labels, moved = _local_moves(STAR, rng, objective, tol)
+        assert (labels, moved, moves, rng.draws) == (list(range(6)), False, [], [])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tied_better_candidates_draw_once_per_extra_tie(self, seed):
+        # Leaves 2, 3 and 5 tie above staying; leaf 4 is better than
+        # staying but below them.
+        objective, moves = hub_objective({1: -1.0, 2: 1.0, 3: 1.0, 4: 0.5, 5: 1.0})
+        rng = RecordingRng(seed)
+        labels, moved = _local_moves(STAR, rng, objective, 0.0)
+        assert len(rng.draws) == 2
+        want = 2
+        for ties, (cand, draw) in enumerate(zip((3, 5), rng.draws), start=2):
+            if draw < 1.0 / ties:
+                want = cand
+        assert moved and moves == [(0, 0, want)]
+        assert labels == [want, 1, 2, 3, 4, 5]
+
+    def test_every_tied_candidate_is_reachable(self):
+        chosen = set()
+        for seed in range(40):
+            objective, moves = hub_objective({1: 1.0, 2: 3.0, 3: 1.0, 4: 3.0, 5: 3.0})
+            _local_moves(STAR, RecordingRng(seed), objective, 0.0)
+            chosen.add(moves[0][2])
+        assert chosen == {2, 4, 5}
+
+    def test_strictly_better_candidate_resets_the_ties(self):
+        for seed in range(8):
+            objective, moves = hub_objective({1: 1.0, 2: 1.0, 3: 2.0, 4: 0.0, 5: 2.0})
+            rng = RecordingRng(seed)
+            _local_moves(STAR, rng, objective, 0.0)
+            assert len(rng.draws) == 2  # leaf 2 ties leaf 1, leaf 5 ties leaf 3
+            assert moves == [(0, 0, 5 if rng.draws[1] < 0.5 else 3)]
+
+    @pytest.mark.parametrize(
+        "tol, draws, chosen", [(1e-13, 1, None), (0.0, 0, 2)],
+    )
+    def test_tolerance_widens_ties(self, tol, draws, chosen):
+        # Leaf 2 beats leaf 1 by less than 1e-13: a tie only at tol=1e-13.
+        objective, moves = hub_objective({1: 1.0, 2: 1.0 + 5e-14, 3: -1.0, 4: -1.0, 5: -1.0})
+        rng = RecordingRng(4)
+        _local_moves(STAR, rng, objective, tol)
+        assert len(rng.draws) == draws
+        if chosen is None:
+            chosen = 2 if rng.draws[0] < 0.5 else 1
+        assert moves == [(0, 0, chosen)]
+
+    def test_candidates_beyond_tolerance_are_better(self):
+        objective, moves = hub_objective({1: 1.0, 2: 1.0 + 1e-12, 3: -1.0, 4: -1.0, 5: -1.0})
+        rng = RecordingRng(4)
+        _local_moves(STAR, rng, objective, 1e-13)
+        assert (rng.draws, moves) == ([], [(0, 0, 2)])
+
+    def test_infomap_counts_changes_within_tolerance_as_ties(self):
+        # On this path two moves shorten the description length by 1.1e-16
+        # only; as ties with staying they keep the pass on the way to one
+        # module, where exact comparisons would split the path in half.
+        path = Graph(6, [(v, v + 1) for v in range(5)])
+        assert infomap(path, AlgoParams(seed=0)) == Partition([0] * 6)
+
+    def test_memberships_match_pinned_digests(self):
+        """Pins louvain and infomap exactly, where the pinned records hold
+        only six-digit summaries: on these networks each run goes through
+        several aggregation levels and hundreds of tie draws."""
+        pin = json.loads((Path(__file__).parent / "data" / "pinned_local_moves.json").read_text())
+        assert len(pin["networks"]) == 2
+        for mu, want in pin["networks"].items():
+            g = generate(LfrConfig(**pin["lfr_config"], mu=float(mu))).graph
+            assert digest(g.edges) == want["edges_sha256"], mu
+            for name, by_seed in want["membership_sha256"].items():
+                for seed in pin["algo_seeds"]:
+                    got = ALGORITHMS[name](g, AlgoParams(seed=seed))
+                    assert digest(list(got.membership)) == by_seed[str(seed)], (mu, name, seed)
 
 
 class TestLabelPropagation:
@@ -554,6 +677,17 @@ class TestCrossCutting:
             left = {member[v] for v in range(4)}
             right = {member[v] for v in range(4, 8)}
             assert not (left & right), name
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_edgeless_graph(self, name):
+        """Seven detectors need an edge; label_propagation and markov_cluster
+        return singletons."""
+        g = Graph(3, [])
+        if name in ("label_propagation", "markov_cluster"):
+            assert ALGORITHMS[name](g, PARAMS) == Partition([0, 1, 2])
+        else:
+            with pytest.raises(ValueError, match="^needs at least one edge$"):
+                ALGORITHMS[name](g, PARAMS)
 
     def test_hill_climbers_never_end_below_zero(self):
         # The all-in-one level (Q = 0) is always examined by these three,

@@ -295,3 +295,14 @@ class TestErrorLine:
         spec_path.write_text('{"node_counts": [60], "replicate": 2}')
         argv = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "sweep")]
         self.check(argv, "unknown sweep spec keys: ['replicate']", capsys)
+
+    @pytest.mark.parametrize("argv", [
+        "detect --edges {missing} --algorithm louvain --out {tmp}/found.membership",
+        "score --edges {net}.edges --actual {missing} --estimated {net}.membership",
+        "report --records {missing} --out {tmp}/rep",
+        "sweep --spec {missing} --out {tmp}/sweep",
+    ], ids=lambda argv: argv.split()[0])
+    def test_missing_input_file(self, generated, tmp_path, capsys, argv):
+        missing = tmp_path / "no-such-file"
+        argv = argv.format(missing=missing, net=generated, tmp=tmp_path).split()
+        self.check(argv, f"[Errno 2] No such file or directory: '{missing}'", capsys)
