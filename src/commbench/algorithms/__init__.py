@@ -43,14 +43,16 @@ class AlgoParams:
     seed: int = 0
 
     def validate(self):
-        for name in (
-            "walktrap_t", "eigen_max_iterations", "spinglass_max_spins",
-            "sa_sweeps_per_temperature", "lp_max_rounds", "mcl_max_iterations",
+        for name, least in (
+            ("walktrap_t", 1), ("eigen_max_iterations", 1), ("spinglass_max_spins", 1),
+            ("sa_sweeps_per_temperature", 1), ("lp_max_rounds", 1),
+            ("mcl_max_iterations", 1), ("mcl_expansion", 2),
         ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.mcl_expansion < 2 or int(self.mcl_expansion) != self.mcl_expansion:
-            raise ValueError("mcl_expansion must be an integer >= 2")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.mcl_inflation <= 1.0:
             raise ValueError("mcl_inflation must be > 1")
         if not 0.0 < self.sa_cooling_factor < 1.0:

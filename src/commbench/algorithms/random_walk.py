@@ -95,6 +95,11 @@ def _walk_power(graph: Graph, inv_d, t):
 
 
 _MCL_BLOCK_COLUMNS = 250
+# An iteration's last product runs as dense BLAS products once its sparse
+# form would make more than this share of n^3 multiply-adds. On one core a
+# sparse multiply-add costs 3.5-8 ns and the dense iteration about
+# 0.06 ns per n^3, so the two meet at shares of 0.006-0.018 (CHANGES.md).
+_MCL_DENSE_SHARE = 1 / 80
 
 
 def markov_cluster(graph: Graph, params) -> Partition:
@@ -105,6 +110,14 @@ def markov_cluster(graph: Graph, params) -> Partition:
     Entries below mcl_prune_threshold are dropped (the column maximum is
     always kept) and the pruned mass is renormalized. Emits
     ConvergenceWarning and uses the last iterate if the cap is reached.
+
+    An iteration whose last expansion product would make more than
+    n^3/80 sparse multiply-adds (in practice the first one or two, where
+    the iterate is tens of percent dense) runs as dense BLAS products,
+    a block of columns at a time (`_mcl_step`). Only the summation order
+    inside the products changes, so such an iterate may differ from the
+    sparse one in its last bits, as with walktrap's BLAS dot products;
+    the support, and so the partition, is the same.
     """
     params.validate()
     n = graph.node_count
@@ -114,20 +127,7 @@ def markov_cluster(graph: Graph, params) -> Partition:
     converged = False
     for _ in range(params.mcl_max_iterations):
         previous = matrix
-        head = matrix
-        for _ in range(params.mcl_expansion - 2):
-            head = head @ matrix
-        # Every step after the last product is column-local, so expanding
-        # and pruning a block of columns at a time gives the same iterate
-        # without ever holding the unpruned square.
-        blocks = []
-        for start in range(0, n, _MCL_BLOCK_COLUMNS):
-            block = head @ matrix[:, start:start + _MCL_BLOCK_COLUMNS]
-            block.data **= params.mcl_inflation
-            block = _column_normalize(block)
-            block = _prune(block, params.mcl_prune_threshold)
-            blocks.append(_column_normalize(block))
-        matrix = sp.hstack(blocks, format="csc")
+        matrix = _mcl_step(matrix, params)
         delta = abs(matrix - previous)
         diff = delta.data.max() if delta.nnz else 0.0
         if diff < params.mcl_convergence_epsilon:
@@ -145,11 +145,67 @@ def markov_cluster(graph: Graph, params) -> Partition:
     return Partition.from_labels(labels.tolist())
 
 
+def _mcl_step(matrix, params, dense=None):
+    """One expansion/inflation iteration of the column-stochastic CSC
+    `matrix`, returned as CSC. `dense` picks the branch of the last
+    product; None picks it by its sparse multiply-add count.
+
+    Every step after the last product is column-local, so expanding and
+    pruning a block of columns at a time gives the same iterate without
+    ever holding the unpruned square.
+    """
+    n = matrix.shape[0]
+    head = matrix
+    for _ in range(params.mcl_expansion - 2):
+        head = head @ matrix
+    if dense is None:
+        madds = np.diff(head.indptr) @ np.bincount(matrix.indices, minlength=n)
+        dense = madds > _MCL_DENSE_SHARE * n**3
+    blocks = []
+    for start in range(0, n, _MCL_BLOCK_COLUMNS):
+        columns = matrix[:, start:start + _MCL_BLOCK_COLUMNS]
+        if dense:
+            block = _dense_product(head, columns.toarray())
+            block **= params.mcl_inflation
+            block *= _reciprocal(block.sum(axis=0))
+            block[block < np.minimum(params.mcl_prune_threshold, block.max(axis=0))] = 0.0
+            block *= _reciprocal(block.sum(axis=0))
+            blocks.append(sp.csc_matrix(block))
+        else:
+            block = head @ columns
+            block.data **= params.mcl_inflation
+            block = _column_normalize(block)
+            block = _prune(block, params.mcl_prune_threshold)
+            blocks.append(_column_normalize(block))
+    return sp.hstack(blocks, format="csc")
+
+
+def _dense_product(head, columns):
+    """head @ columns for a CSC `head` and a dense n x b `columns`, summed
+    over dense column blocks of `head`, so no n x n array is held."""
+    from scipy.linalg.blas import dgemm
+
+    product = np.zeros((head.shape[0], columns.shape[1]), order="F")
+    buffer = np.empty((head.shape[0], _MCL_BLOCK_COLUMNS), order="F")
+    for start in range(0, head.shape[1], _MCL_BLOCK_COLUMNS):
+        block = head[:, start:start + _MCL_BLOCK_COLUMNS]
+        width = block.shape[1]
+        dense = block.toarray(out=buffer[:, :width])
+        # product += dense @ columns[rows], in place (BLAS's beta = 1)
+        product = dgemm(
+            1.0, dense, columns[start:start + width], beta=1.0, c=product, overwrite_c=True
+        )
+    return product
+
+
+def _reciprocal(sums):
+    return np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+
+
 def _column_normalize(matrix):
     sums = np.asarray(matrix.sum(axis=0)).ravel()
     matrix = matrix.tocsc()
-    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-    matrix.data *= np.repeat(scale, np.diff(matrix.indptr))
+    matrix.data *= np.repeat(_reciprocal(sums), np.diff(matrix.indptr))
     return matrix
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +20,16 @@ from commbench.algorithms import (
     louvain,
     markov_cluster,
     radetal,
+    random_walk,
     spinglass,
     walktrap,
 )
 from commbench.algorithms.information import description_length
 from commbench.algorithms.modularity_opt import _local_moves
-from commbench.algorithms.random_walk import _column_normalize, _prune, _walk_power
+from commbench.algorithms.random_walk import _column_normalize, _mcl_step, _walk_power
 from commbench.algorithms.spectral import _DENSE_MAX_SIZE, _GroupMatrix, _try_split
 from commbench.graph import Graph, Partition, connected_components, edge_triangle_count
-from commbench.harness import SweepSpec, run_sweep
+from commbench.harness import Cell, SweepSpec, derive_seed, run_sweep
 from commbench.lfr import LfrConfig, generate
 from commbench.metrics import modularity, partition_nmi
 
@@ -36,6 +38,7 @@ from oracles import (
     connected_partitions,
     fastgreedy_direct,
     map_equation_direct,
+    markov_cluster_direct,
     max_modularity_bruteforce,
     max_modularity_connected,
     modularity_direct,
@@ -118,6 +121,34 @@ class TestAlgoParams:
     def test_detector_rejects_zero_count(self, two_five_cliques, name, field):
         with pytest.raises(ValueError, match=field):
             ALGORITHMS[name](two_five_cliques, AlgoParams(**{field: 0}))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "walktrap_t", "eigen_max_iterations", "spinglass_max_spins",
+            "sa_sweeps_per_temperature", "lp_max_rounds", "mcl_max_iterations",
+            "mcl_expansion",
+        ],
+    )
+    def test_rejects_count_that_is_not_an_int(self, field):
+        AlgoParams(**{field: 3}).validate()
+        for value in (3.0, 2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"{field} must be an int"):
+                AlgoParams(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("markov_cluster", "mcl_expansion", 2.0),
+            ("markov_cluster", "mcl_max_iterations", 3.0),
+            ("walktrap", "walktrap_t", 2.0),
+            ("label_propagation", "lp_max_rounds", 2.5),
+            ("spinglass", "spinglass_max_spins", 5.0),
+        ],
+    )
+    def test_detector_rejects_float_count(self, two_five_cliques, name, field, value):
+        with pytest.raises(ValueError, match=field):
+            ALGORITHMS[name](two_five_cliques, AlgoParams(**{field: value}))
 
 
 class TestRadetal:
@@ -412,6 +443,22 @@ class TestWalktrap:
         assert not got[deg == 0].any()
 
 
+# Small LFR networks for markov_cluster: on the "dense" ones at least one
+# iteration runs as dense products, on the "sparse" ones none does.
+MCL_LFR = {
+    "dense-n300": LfrConfig(n=300, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.4, seed=1),
+    "dense-n400": LfrConfig(n=400, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.5, seed=2),
+    "dense-n600": LfrConfig(n=600, avg_degree=6, max_degree=18, gamma=2, beta=1, mu=0.5, seed=4),
+    "sparse-n300": LfrConfig(n=300, avg_degree=4, max_degree=12, gamma=2, beta=1, mu=0.3, seed=1),
+    "sparse-n400": LfrConfig(n=400, avg_degree=3, max_degree=9, gamma=2, beta=1, mu=0.3, seed=1),
+}
+
+
+def mcl_start(g):
+    """markov_cluster's first iterate: the column-normalized A + I."""
+    return _column_normalize(g.adjacency() + sp.identity(g.node_count, format="csr"))
+
+
 class TestMarkovCluster:
     def test_disjoint_cliques(self, two_five_cliques):
         assert markov_cluster(two_five_cliques, PARAMS) == TWO_CLIQUES
@@ -420,26 +467,81 @@ class TestMarkovCluster:
         assert markov_cluster(bridged_five_cliques, PARAMS) == TWO_CLIQUES
 
     def test_column_stochastic_at_every_iterate(self, bridged_five_cliques):
-        g = bridged_five_cliques
-        import scipy.sparse as sp
+        """Drives the detector's own iteration through the dense and the
+        sparse branch, on one column block and on three (the last one
+        partial), for expansion 2 and 3."""
+        lfr = generate(MCL_LFR["dense-n600"]).graph
+        for g in (bridged_five_cliques, lfr):
+            for expansion in (2, 3):
+                params = AlgoParams(mcl_expansion=expansion)
+                for dense in (False, True):
+                    matrix = mcl_start(g)
+                    for _ in range(12):
+                        matrix = _mcl_step(matrix, params, dense=dense)
+                        assert matrix.format == "csc"
+                        sums = np.asarray(matrix.sum(axis=0)).ravel()
+                        assert np.max(np.abs(sums - 1.0)) < 1e-12, (g.node_count, expansion, dense)
 
-        n = g.node_count
-        rows = list(range(n))
-        cols = list(range(n))
-        for u, v in g.edges:
-            rows += [u, v]
-            cols += [v, u]
-        matrix = _column_normalize(
-            sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        )
-        for _ in range(12):
-            matrix = matrix @ matrix
-            matrix.data **= 2.0
-            matrix = _column_normalize(matrix)
-            matrix = _prune(matrix, 1e-5)
-            matrix = _column_normalize(matrix)
-            sums = np.asarray(matrix.sum(axis=0)).ravel()
-            assert np.max(np.abs(sums - 1.0)) < 1e-12
+    def test_dense_and_sparse_steps_agree(self):
+        """From the same iterate, both branches keep the same support and
+        differ only in the last bits."""
+        g = generate(MCL_LFR["dense-n600"]).graph
+        matrix = mcl_start(g)
+        for _ in range(6):
+            sparse = _mcl_step(matrix, PARAMS, dense=False)
+            dense = _mcl_step(matrix, PARAMS, dense=True)
+            assert ((sparse != 0) != (dense != 0)).nnz == 0
+            assert abs(sparse - dense).max() < 1e-12
+            matrix = sparse
+
+    @pytest.mark.parametrize(
+        "name, expansion, takes_dense",
+        [
+            ("dense-n300", 2, True),
+            ("dense-n600", 2, True),
+            ("sparse-n300", 2, False),
+            ("sparse-n400", 2, False),
+            ("dense-n400", 3, True),
+        ],
+    )
+    def test_matches_direct_oracle_on_lfr(self, monkeypatch, name, expansion, takes_dense):
+        dense_blocks = []
+        product = random_walk._dense_product
+
+        def counted(head, columns):
+            dense_blocks.append(columns.shape[1])
+            return product(head, columns)
+
+        monkeypatch.setattr(random_walk, "_dense_product", counted)
+        g = generate(MCL_LFR[name]).graph
+        params = AlgoParams(mcl_expansion=expansion)
+        want, converged = markov_cluster_direct(g, params)
+        assert converged
+        assert markov_cluster(g, params) == want
+        assert bool(dense_blocks) == takes_dense
+
+    def test_memberships_match_pinned_digests(self):
+        """The detect-large network and the four n=1000 sweep-reduced units,
+        whose first iterations run dense, plus expansion 3 on one of them,
+        reproduce digests written by the all-sparse iteration."""
+        pin = json.loads((Path(__file__).parent / "data" / "pinned_markov_cluster.json").read_text())
+        assert len(pin["networks"]) == 5
+        for want in pin["networks"]:
+            fields = dict(item.split("=") for item in want["cell"].split(","))
+            cell = Cell(
+                n=int(fields["n"]), avg_degree=float(fields["k"]),
+                max_degree=int(fields["kmax"]), gamma=float(fields["gamma"]),
+                beta=float(fields["beta"]), mu=float(fields["mu"]),
+            )
+            assert cell.key() == want["cell"]
+            seed = derive_seed(want["master_seed"], want["cell"], pin["replicate"])
+            assert seed == want["seed"]
+            config = LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True)
+            g = generate(config).graph
+            assert digest(g.edges) == want["edges_sha256"], want["cell"]
+            for expansion, membership in want["membership_sha256"].items():
+                got = markov_cluster(g, AlgoParams(mcl_expansion=int(expansion)))
+                assert digest(list(got.membership)) == membership, (want["cell"], expansion)
 
     def test_edgeless_graph_gives_singletons(self):
         got = markov_cluster(Graph(4, []), PARAMS)
