@@ -112,8 +112,8 @@ def markov_cluster(graph: Graph, params) -> Partition:
     ConvergenceWarning and uses the last iterate if the cap is reached.
 
     An iteration whose last expansion product would make more than
-    n^3/80 sparse multiply-adds (in practice the first one or two, where
-    the iterate is tens of percent dense) runs as dense BLAS products,
+    n^3/80 sparse multiply-adds (in practice one or two early ones,
+    where the iterate is tens of percent dense) runs as dense BLAS products,
     a block of columns at a time (`_mcl_step`). Only the summation order
     inside the products changes, so such an iterate may differ from the
     sparse one in its last bits, as with walktrap's BLAS dot products;
