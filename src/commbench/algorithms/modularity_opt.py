@@ -25,10 +25,12 @@ class _Agglomeration:
     A community is named by one of its nodes. Heap entries end with
     (lo, hi, stamp[lo], stamp[hi]); each merge bumps both members'
     stamps, so an entry is current exactly while neither community has
-    changed since it was pushed. Every adjacent pair keeps exactly one
-    current entry, and current entries are distinct tuples, so dropping
-    stale entries never changes which pair is merged next. An instance
-    runs once.
+    changed since it was pushed. Each live adjacent pair always has an
+    entry that sorts at or below its current one, and a popped entry is
+    merged only if it is current. The first current entry popped is then
+    the smallest current entry, and current entries of distinct pairs are
+    distinct tuples, so the merge order does not depend on which stale
+    entries the heap still holds. An instance runs once.
     """
 
     def __init__(self, graph):
@@ -42,13 +44,21 @@ class _Agglomeration:
         """Modularity change from merging adjacent communities a and b."""
         return self.links[a][b] / self.m - self.degree[a] * self.degree[b] / self.two_m2
 
-    def run(self, heap, score, merged=None) -> Partition:
+    def run(self, heap, score, merged=None, rekey=False) -> Partition:
         """Merge the pair of each current entry popped from `heap` (one
         entry per adjacent pair, all with zero stamps), the community with
         more neighbours surviving; call merged(survivor, absorbed), then
-        push score(survivor, x) + (lo, hi, stamps) for each neighbour x,
-        in neighbour-dict order. Returns the level of maximal modularity,
-        later levels winning ties."""
+        push score(survivor, x) + (lo, hi, stamps) for neighbours x of the
+        survivor, in neighbour-dict order. Returns the level of maximal
+        modularity, later levels winning ties.
+
+        Without `rekey` every neighbour is re-scored after each merge and
+        stale entries are dropped. With `rekey` the caller promises that a
+        merge never lowers the score of a pair whose link weight it left
+        unchanged: only the absorbed community's neighbours are re-scored,
+        the survivor's other pairs keep their old entries as lower bounds,
+        and a stale entry of a live pair goes back in at its current score
+        when popped."""
         n = len(self.links)
         links, degree = self.links, self.degree
         stamp = [0] * n
@@ -56,12 +66,17 @@ class _Agglomeration:
         best_q = q
         merges = []
         best_merges = 0
-        live = len(heap)  # adjacent pairs, each with one current entry
+        live = len(heap)  # adjacent pairs
         heapq.heapify(heap)
         while heap:
-            lo, hi, stamp_lo, stamp_hi = heapq.heappop(heap)[-4:]
+            lo, hi, stamp_lo, stamp_hi = heap[0][-4:]
             if stamp[lo] != stamp_lo or stamp[hi] != stamp_hi:
+                if rekey and links[lo] is not None and links[hi] is not None:
+                    heapq.heapreplace(heap, score(lo, hi) + (lo, hi, stamp[lo], stamp[hi]))
+                else:
+                    heapq.heappop(heap)
                 continue
+            heapq.heappop(heap)
             a, b = (hi, lo) if len(links[hi]) > len(links[lo]) else (lo, hi)
             q += self.delta_q(a, b)
             merges.append((a, b))
@@ -77,7 +92,7 @@ class _Agglomeration:
                 wn = links[nbr]
                 del wn[b]
                 wn[a] = wa[nbr]
-            del wa[b]
+            del wa[b], wb[a]
             degree[a] += degree[b]
             stamp[a] += 1
             stamp[b] += 1
@@ -86,11 +101,18 @@ class _Agglomeration:
                 best_merges = len(merges)
             if merged is not None:
                 merged(a, b)
-            for nbr in wa:
+            for nbr in wb if rekey else wa:
                 lo, hi = (a, nbr) if a < nbr else (nbr, a)
                 heapq.heappush(heap, score(a, nbr) + (lo, hi, stamp[lo], stamp[hi]))
             if len(heap) > 4 * live + 1024:
-                heap = [e for e in heap if stamp[e[-4]] == e[-2] and stamp[e[-3]] == e[-1]]
+                if rekey:  # one current entry per live pair
+                    heap = [
+                        score(c, x) + (c, x, stamp[c], stamp[x])
+                        for c, wc in enumerate(links) if wc is not None
+                        for x in wc if c < x
+                    ]
+                else:
+                    heap = [e for e in heap if stamp[e[-4]] == e[-2] and stamp[e[-3]] == e[-1]]
                 heapq.heapify(heap)
         # Backwards, each survivor already holds its final root when the
         # community it absorbed copies it.
@@ -107,12 +129,22 @@ def fastgreedy(graph: Graph) -> Partition:
 
     Ties pick the lexicographically smallest pair, so the result is
     deterministic without a seed.
+
+    Merging b into a changes the key -dQ(a, x) = d_a d_x / 2m^2 - e_ax / m
+    of each other pair (a, x). Where x is not adjacent to b, e_ax is
+    unchanged and d_a only grows, so the key can only rise. That holds in
+    floating point too: degrees are integer-valued sums, exact below 2^53,
+    and round-to-nearest is monotone, so each rounded step (d_a d_x, its
+    quotient by 2m^2, e_ax / m minus that) moves the way its exact value
+    does or not at all. The merge engine's `rekey` mode therefore
+    re-scores only b's neighbours (`_Agglomeration.run`), and the merge
+    order is the one eager re-scoring gives.
     """
     _require_edges(graph)
     agg = _Agglomeration(graph)
     delta_q = agg.delta_q
     heap = [(-delta_q(u, v), u, v, 0, 0) for u, v in graph.edges]
-    return agg.run(heap, lambda a, x: (-delta_q(a, x),))
+    return agg.run(heap, lambda a, x: (-delta_q(a, x),), rekey=True)
 
 
 def _local_moves(graph, rng, objective, tol):

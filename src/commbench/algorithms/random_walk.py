@@ -78,6 +78,8 @@ def walktrap(graph: Graph, params) -> Partition:
         sigma[(a, x) if a < x else (x, a)] = s_new
         return s_new, rng.random()
 
+    # Eager re-scoring, not `rekey`: merging b into a can lower sigma(a, x)
+    # even where x is not adjacent to b.
     return _Agglomeration(graph).run(heap, score, merged)
 
 

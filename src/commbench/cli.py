@@ -128,6 +128,7 @@ def _cmd_generate(args):
 def _cmd_detect(args):
     graph = read_edge_list(args.edges, node_count=args.node_count)
     params = _from_flags(AlgoParams, args)
+    params.validate()  # radetal, fastgreedy and louvain do not validate their own
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("default")

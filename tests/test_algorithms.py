@@ -52,9 +52,10 @@ TWO_CLIQUES = Partition([0] * 5 + [1] * 5)
 RING_TRIANGLES = Partition([i // 3 for i in range(12)])
 
 
-# Seeded LFR graphs on which fastgreedy's heap rebuild fires 4 and 7 times
-# (counted once with a temporary counter in the merge engine), and on which
-# losing the best entry at a rebuild changes fastgreedy's partition.
+# Seeded LFR graphs on which fastgreedy's heap rebuild fires once each
+# (counted once with a temporary counter on the merge engine's heapq calls).
+# On n400, a rebuild that drops the stale entries live pairs keep as lower
+# bounds, instead of re-keying them, changes fastgreedy's partition.
 ORACLE_LFR = [
     LfrConfig(n=300, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.4, seed=1),
     LfrConfig(n=400, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.5, seed=2),
@@ -71,6 +72,36 @@ def sparse_graph_with_isolated_nodes(n, p, seed):
     g = Graph(n, edges)
     assert 0 in g.degrees()
     return g
+
+
+def ring_of_cliques(count, size):
+    """Identical cliques, each joined to the next by one edge."""
+    edges = []
+    for i in range(count):
+        base = i * size
+        edges += clique_edges(range(base, base + size))
+        edges.append((base + size - 1, ((i + 1) % count) * size))
+    return Graph(count * size, edges)
+
+
+def pinned_sweep_networks(name):
+    """Yield (entry, graph) for each network of a pinned-digest file that
+    names sweep units by master seed, cell key and replicate."""
+    pin = json.loads((Path(__file__).parent / "data" / name).read_text())
+    for want in pin["networks"]:
+        fields = dict(item.split("=") for item in want["cell"].split(","))
+        cell = Cell(
+            n=int(fields["n"]), avg_degree=float(fields["k"]),
+            max_degree=int(fields["kmax"]), gamma=float(fields["gamma"]),
+            beta=float(fields["beta"]), mu=float(fields["mu"]),
+        )
+        assert cell.key() == want["cell"]
+        seed = derive_seed(want["master_seed"], want["cell"], pin["replicate"])
+        assert seed == want["seed"]
+        config = LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True)
+        g = generate(config).graph
+        assert digest(g.edges) == want["edges_sha256"], want["cell"]
+        yield want, g
 
 
 def random_connected_graph(n, rng):
@@ -204,14 +235,8 @@ class TestRadetal:
 
     @pytest.mark.parametrize("count, size", [(4, 4), (6, 5), (5, 3)])
     def test_matches_direct_oracle_on_ring_of_cliques(self, count, size):
-        # Identical cliques, each joined to the next by one edge: every
-        # coefficient ties with its images under rotation.
-        edges = []
-        for i in range(count):
-            base = i * size
-            edges += clique_edges(range(base, base + size))
-            edges.append((base + size - 1, ((i + 1) % count) * size))
-        g = Graph(count * size, edges)
+        # Every coefficient ties with its images under rotation.
+        g = ring_of_cliques(count, size)
         got = radetal(g)
         assert got == radetal_direct(g)
         assert got == Partition([v // size for v in range(count * size)])
@@ -233,11 +258,38 @@ class TestFastgreedy:
         g = generate(config).graph
         assert fastgreedy(g) == fastgreedy_direct(g)
 
+    @pytest.mark.parametrize("count, size", [(4, 4), (6, 5), (20, 4)])
+    def test_matches_direct_oracle_on_ring_of_cliques(self, count, size):
+        # Delta Q ties at every step, so the (lo, hi) rule picks each merge.
+        g = ring_of_cliques(count, size)
+        assert fastgreedy(g) == fastgreedy_direct(g)
+
+    @pytest.mark.parametrize("n, p, seed", [(150, 0.02, 8), (400, 0.01, 3)])
+    def test_matches_direct_oracle_on_many_components(self, n, p, seed):
+        # Sparse random graphs: several starting components, isolated nodes.
+        g = sparse_graph_with_isolated_nodes(n, p, seed)
+        assert fastgreedy(g) == fastgreedy_direct(g)
+
     def test_single_edge_merges(self):
         g = Graph(2, [(0, 1)])
         assert fastgreedy(g).num_communities == 1
         assert modularity_direct(g, Partition([0, 0])) == 0.0
         assert modularity_direct(g, Partition([0, 1])) == -0.5
+
+    def test_merge_engine_memberships_match_pinned_digests(self):
+        """fastgreedy and walktrap, which share one merge loop, reproduce
+        their memberships on the detect-large network and the four n=1000
+        sweep-reduced units, walktrap with the sweep's derived seed."""
+        networks = list(pinned_sweep_networks("pinned_agglomeration.json"))
+        assert len(networks) == 5
+        for want, g in networks:
+            walktrap_seed = derive_seed(want["master_seed"], f"{want['cell']}|walktrap", 0)
+            got = {
+                "fastgreedy": fastgreedy(g),
+                "walktrap": walktrap(g, AlgoParams(seed=walktrap_seed)),
+            }
+            for name, membership in want["membership_sha256"].items():
+                assert digest(list(got[name].membership)) == membership, (want["cell"], name)
 
 
 class TestLouvain:
@@ -524,21 +576,9 @@ class TestMarkovCluster:
         """The detect-large network and the four n=1000 sweep-reduced units,
         whose first iterations run dense, plus expansion 3 on one of them,
         reproduce digests written by the all-sparse iteration."""
-        pin = json.loads((Path(__file__).parent / "data" / "pinned_markov_cluster.json").read_text())
-        assert len(pin["networks"]) == 5
-        for want in pin["networks"]:
-            fields = dict(item.split("=") for item in want["cell"].split(","))
-            cell = Cell(
-                n=int(fields["n"]), avg_degree=float(fields["k"]),
-                max_degree=int(fields["kmax"]), gamma=float(fields["gamma"]),
-                beta=float(fields["beta"]), mu=float(fields["mu"]),
-            )
-            assert cell.key() == want["cell"]
-            seed = derive_seed(want["master_seed"], want["cell"], pin["replicate"])
-            assert seed == want["seed"]
-            config = LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True)
-            g = generate(config).graph
-            assert digest(g.edges) == want["edges_sha256"], want["cell"]
+        networks = list(pinned_sweep_networks("pinned_markov_cluster.json"))
+        assert len(networks) == 5
+        for want, g in networks:
             for expansion, membership in want["membership_sha256"].items():
                 got = markov_cluster(g, AlgoParams(mcl_expansion=int(expansion)))
                 assert digest(list(got.membership)) == membership, (want["cell"], expansion)

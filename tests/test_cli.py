@@ -126,6 +126,9 @@ class TestDetectCommand:
             ("spinglass", "--spinglass-max-spins", "spinglass_max_spins must be >= 1"),
             ("label_propagation", "--lp-max-rounds", "lp_max_rounds must be >= 1"),
             ("spinglass", "--sa-min-temperature", "sa_min_temperature must be positive"),
+            ("fastgreedy", "--walktrap-t", "walktrap_t must be >= 1"),
+            ("radetal", "--walktrap-t", "walktrap_t must be >= 1"),
+            ("louvain", "--walktrap-t", "walktrap_t must be >= 1"),
         ],
     )
     def test_invalid_parameter_exits_with_message(
@@ -158,8 +161,9 @@ class TestDetectCommand:
             if isinstance(f.default, bool):
                 expected[f.name] = not f.default
                 argv.append(flag)
-            else:
-                expected[f.name] = type(f.default)(f.default + 1)
+            else:  # changed values that `validate` still accepts
+                value = f.default + 1 if isinstance(f.default, int) else f.default * 0.9
+                expected[f.name] = type(f.default)(value)
                 argv += [flag, str(expected[f.name])]
         assert main(argv) == 0
         (params,) = seen
