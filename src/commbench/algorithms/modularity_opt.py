@@ -25,12 +25,14 @@ class _Agglomeration:
     A community is named by one of its nodes. Heap entries end with
     (lo, hi, stamp[lo], stamp[hi]); each merge bumps both members'
     stamps, so an entry is current exactly while neither community has
-    changed since it was pushed. Each live adjacent pair always has an
-    entry that sorts at or below its current one, and a popped entry is
-    merged only if it is current. The first current entry popped is then
-    the smallest current entry, and current entries of distinct pairs are
-    distinct tuples, so the merge order does not depend on which stale
-    entries the heap still holds. An instance runs once.
+    changed since it was pushed. An entry's key may sit below its pair's
+    exact score, never above it; a popped entry is merged only if it is
+    current and exact, and is otherwise dropped or re-keyed. Each live
+    adjacent pair always has an entry that sorts at or below its exact
+    one, so the first entry merged is the smallest exact current entry;
+    current entries of distinct pairs are distinct tuples, so the merge
+    order is the one eager re-scoring of every pair would give, whatever
+    stale or loose entries the heap still holds. An instance runs once.
     """
 
     def __init__(self, graph):
@@ -44,21 +46,29 @@ class _Agglomeration:
         """Modularity change from merging adjacent communities a and b."""
         return self.links[a][b] / self.m - self.degree[a] * self.degree[b] / self.two_m2
 
-    def run(self, heap, score, merged=None, rekey=False) -> Partition:
-        """Merge the pair of each current entry popped from `heap` (one
-        entry per adjacent pair, all with zero stamps), the community with
-        more neighbours surviving; call merged(survivor, absorbed), then
-        push score(survivor, x) + (lo, hi, stamps) for neighbours x of the
-        survivor, in neighbour-dict order. Returns the level of maximal
-        modularity, later levels winning ties.
+    def run(self, heap, score, merged=None, exact=None) -> Partition:
+        """Merge the pair of each current, exact entry popped from `heap`
+        (one entry per adjacent pair, all with zero stamps), the community
+        with more neighbours surviving; call merged(survivor, absorbed),
+        then push score(survivor, x) + (lo, hi, stamps) for neighbours x,
+        in neighbour-dict order. Returns the level of maximal modularity,
+        later levels winning ties. There are two modes.
 
-        Without `rekey` every neighbour is re-scored after each merge and
-        stale entries are dropped. With `rekey` the caller promises that a
-        merge never lowers the score of a pair whose link weight it left
-        unchanged: only the absorbed community's neighbours are re-scored,
-        the survivor's other pairs keep their old entries as lower bounds,
-        and a stale entry of a live pair goes back in at its current score
-        when popped."""
+        Without `exact` (fastgreedy) every key is exact when pushed, and
+        the caller promises that a merge never lowers the score of a pair
+        whose link weight it left unchanged. Only the absorbed community's
+        neighbours are re-scored; the survivor's other pairs keep their
+        old, now stale, entries as lower bounds. A stale entry of a live
+        pair goes back in at its current score when popped, and a heap
+        rebuild re-scores every live pair.
+
+        With `exact` (walktrap) every neighbour of the survivor is
+        re-scored, stale entries are dropped, and `score` may return a
+        lower bound. A popped current entry goes to exact(entry), which
+        returns None if the entry's key is exact, or else the entry with
+        its exact key, which goes back in. A heap rebuild keeps the
+        current entries. Either way every live pair keeps an entry at or
+        below its exact one, the invariant that fixes the merge order."""
         n = len(self.links)
         links, degree = self.links, self.degree
         stamp = [0] * n
@@ -69,13 +79,19 @@ class _Agglomeration:
         live = len(heap)  # adjacent pairs
         heapq.heapify(heap)
         while heap:
-            lo, hi, stamp_lo, stamp_hi = heap[0][-4:]
+            entry = heap[0]
+            lo, hi, stamp_lo, stamp_hi = entry[-4:]
             if stamp[lo] != stamp_lo or stamp[hi] != stamp_hi:
-                if rekey and links[lo] is not None and links[hi] is not None:
+                if exact is None and links[lo] is not None and links[hi] is not None:
                     heapq.heapreplace(heap, score(lo, hi) + (lo, hi, stamp[lo], stamp[hi]))
                 else:
                     heapq.heappop(heap)
                 continue
+            if exact is not None:
+                entry = exact(entry)
+                if entry is not None:
+                    heapq.heapreplace(heap, entry)
+                    continue
             heapq.heappop(heap)
             a, b = (hi, lo) if len(links[hi]) > len(links[lo]) else (lo, hi)
             q += self.delta_q(a, b)
@@ -101,11 +117,11 @@ class _Agglomeration:
                 best_merges = len(merges)
             if merged is not None:
                 merged(a, b)
-            for nbr in wb if rekey else wa:
+            for nbr in wb if exact is None else wa:
                 lo, hi = (a, nbr) if a < nbr else (nbr, a)
                 heapq.heappush(heap, score(a, nbr) + (lo, hi, stamp[lo], stamp[hi]))
             if len(heap) > 4 * live + 1024:
-                if rekey:  # one current entry per live pair
+                if exact is None:  # one current entry per live pair
                     heap = [
                         score(c, x) + (c, x, stamp[c], stamp[x])
                         for c, wc in enumerate(links) if wc is not None
@@ -136,7 +152,7 @@ def fastgreedy(graph: Graph) -> Partition:
     floating point too: degrees are integer-valued sums, exact below 2^53,
     and round-to-nearest is monotone, so each rounded step (d_a d_x, its
     quotient by 2m^2, e_ax / m minus that) moves the way its exact value
-    does or not at all. The merge engine's `rekey` mode therefore
+    does or not at all. The merge engine, run without `exact`, therefore
     re-scores only b's neighbours (`_Agglomeration.run`), and the merge
     order is the one eager re-scoring gives.
     """
@@ -144,7 +160,7 @@ def fastgreedy(graph: Graph) -> Partition:
     agg = _Agglomeration(graph)
     delta_q = agg.delta_q
     heap = [(-delta_q(u, v), u, v, 0, 0) for u, v in graph.edges]
-    return agg.run(heap, lambda a, x: (-delta_q(a, x),), rekey=True)
+    return agg.run(heap, lambda a, x: (-delta_q(a, x),))
 
 
 def _local_moves(graph, rng, objective, tol):

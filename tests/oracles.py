@@ -140,6 +140,62 @@ def fastgreedy_direct(graph):
     return Partition.from_labels(best)
 
 
+def walktrap_direct(graph, t):
+    """Walktrap with every step recomputed from scratch.
+
+    P^t is the t-th power of the dense random-walk matrix D^-1 A. Each
+    step takes every pair of adjacent communities, their mean rows of P^t,
+    and sigma = |C1| |C2| / (|C1| + |C2|) * sum_k (mean1_k - mean2_k)^2 /
+    d_k / n, and merges the pair with the smallest sigma. Returns the level
+    of largest Q, later levels winning ties, and the smallest relative gap
+    between a step's smallest sigma and its next smallest: a gap within
+    rounding means that the step's choice is not fixed by the definition.
+    """
+    n = graph.node_count
+    degree = np.zeros(n)
+    for u, v in graph.edges:
+        degree[u] += 1
+        degree[v] += 1
+    walk = np.zeros((n, n))
+    for u, v in graph.edges:
+        walk[u, v] = 1.0 / degree[u]
+        walk[v, u] = 1.0 / degree[v]
+    power = np.linalg.matrix_power(walk, t)
+    weight = np.zeros(n)
+    weight[degree > 0] = 1.0 / degree[degree > 0]
+    label = list(range(n))
+    best_q = _direct_q(graph, label)
+    best = list(label)
+    closest = math.inf
+    while True:
+        pairs = sorted(
+            {tuple(sorted((label[u], label[v]))) for u, v in graph.edges if label[u] != label[v]}
+        )
+        if not pairs:
+            break
+        members = {}
+        for v, c in enumerate(label):
+            members.setdefault(c, []).append(v)
+        mean = {c: power[nodes].mean(axis=0) for c, nodes in members.items()}
+        scored = []
+        for a, b in pairs:
+            size_a, size_b = len(members[a]), len(members[b])
+            diff = mean[a] - mean[b]
+            sigma = size_a * size_b / (size_a + size_b) * float(np.sum(diff * diff * weight)) / n
+            scored.append((sigma, a, b))
+        scored.sort()
+        if len(scored) > 1:
+            low, next_low = scored[0][0], scored[1][0]
+            closest = min(closest, (next_low - low) / next_low if next_low > 0 else 0.0)
+        _, a, b = scored[0]
+        label = [a if c == b else c for c in label]
+        q = _direct_q(graph, label)
+        if q >= best_q:
+            best_q = q
+            best = list(label)
+    return Partition.from_labels(best), closest
+
+
 def spinglass_direct(graph, params):
     """Spin-glass annealing with every proposal's edge counts found by
     scanning all of v's neighbours, and every draw made with

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commbench.algorithms import (
     ALGORITHMS,
@@ -26,7 +28,12 @@ from commbench.algorithms import (
 )
 from commbench.algorithms.information import description_length
 from commbench.algorithms.modularity_opt import _local_moves
-from commbench.algorithms.random_walk import _column_normalize, _mcl_step, _walk_power
+from commbench.algorithms.random_walk import (
+    _column_normalize,
+    _mcl_step,
+    _merged_sigma_floor,
+    _walk_power,
+)
 from commbench.algorithms.spectral import _DENSE_MAX_SIZE, _GroupMatrix, _try_split
 from commbench.graph import Graph, Partition, connected_components, edge_triangle_count
 from commbench.harness import Cell, SweepSpec, derive_seed, run_sweep
@@ -44,6 +51,7 @@ from oracles import (
     modularity_direct,
     radetal_direct,
     spinglass_direct,
+    walktrap_direct,
 )
 
 PARAMS = AlgoParams(seed=11)
@@ -62,6 +70,16 @@ ORACLE_LFR = [
 ]
 
 
+# Small LFR networks on which walktrap_direct's closest sigma gap is at
+# least 2e-5, far above rounding.
+WALKTRAP_LFR = [
+    LfrConfig(n=100, avg_degree=8, max_degree=24, gamma=2, beta=1, mu=0.3, seed=1),
+    LfrConfig(n=150, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.4, seed=2),
+    LfrConfig(n=200, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.5, seed=3),
+    LfrConfig(n=120, avg_degree=8, max_degree=24, gamma=2, beta=1, mu=0.6, seed=5),
+]
+
+
 def digest(values):
     return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
@@ -74,14 +92,14 @@ def sparse_graph_with_isolated_nodes(n, p, seed):
     return g
 
 
-def ring_of_cliques(count, size):
-    """Identical cliques, each joined to the next by one edge."""
+def ring_of_cliques(sizes):
+    """Cliques of the given sizes, each joined to the next by one edge."""
     edges = []
-    for i in range(count):
-        base = i * size
-        edges += clique_edges(range(base, base + size))
-        edges.append((base + size - 1, ((i + 1) % count) * size))
-    return Graph(count * size, edges)
+    starts = np.cumsum([0] + list(sizes)).tolist()
+    for i, size in enumerate(sizes):
+        edges += clique_edges(range(starts[i], starts[i] + size))
+        edges.append((starts[i] + size - 1, starts[(i + 1) % len(sizes)]))
+    return Graph(starts[-1], edges)
 
 
 def pinned_sweep_networks(name):
@@ -102,6 +120,14 @@ def pinned_sweep_networks(name):
         g = generate(config).graph
         assert digest(g.edges) == want["edges_sha256"], want["cell"]
         yield want, g
+
+
+def caterpillar(spine, legs):
+    """A path of `spine` nodes, each with `legs` leaves: twin leaves tie
+    in every walk distance."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return Graph(spine * (1 + legs), edges)
 
 
 def random_connected_graph(n, rng):
@@ -236,7 +262,7 @@ class TestRadetal:
     @pytest.mark.parametrize("count, size", [(4, 4), (6, 5), (5, 3)])
     def test_matches_direct_oracle_on_ring_of_cliques(self, count, size):
         # Every coefficient ties with its images under rotation.
-        g = ring_of_cliques(count, size)
+        g = ring_of_cliques([size] * count)
         got = radetal(g)
         assert got == radetal_direct(g)
         assert got == Partition([v // size for v in range(count * size)])
@@ -261,7 +287,7 @@ class TestFastgreedy:
     @pytest.mark.parametrize("count, size", [(4, 4), (6, 5), (20, 4)])
     def test_matches_direct_oracle_on_ring_of_cliques(self, count, size):
         # Delta Q ties at every step, so the (lo, hi) rule picks each merge.
-        g = ring_of_cliques(count, size)
+        g = ring_of_cliques([size] * count)
         assert fastgreedy(g) == fastgreedy_direct(g)
 
     @pytest.mark.parametrize("n, p, seed", [(150, 0.02, 8), (400, 0.01, 3)])
@@ -494,6 +520,113 @@ class TestWalktrap:
         np.testing.assert_allclose(got, np.linalg.matrix_power(walk, t), rtol=0, atol=1e-15)
         assert not got[deg == 0].any()
 
+    def test_walk_power_blocks_keep_the_bits(self, monkeypatch):
+        """Column blocks of any width, the last one partial, give the bits
+        of whole-matrix products."""
+        g = generate(ORACLE_LFR[0]).graph
+        deg = np.asarray(g.degrees(), dtype=float)
+        inv_d = 1.0 / deg
+        walk = g.adjacency().multiply(inv_d[:, None]).tocsr()
+        want = walk.toarray()
+        for _ in range(3):
+            want = walk @ want
+        for width in (1, 7, 128, 300, 1000):
+            monkeypatch.setattr(random_walk, "_BLOCK_COLUMNS", width)
+            assert np.array_equal(_walk_power(g, inv_d, 4), want), width
+
+    @pytest.mark.parametrize("config", WALKTRAP_LFR, ids=lambda c: f"n{c.n}-mu{c.mu}")
+    def test_matches_direct_oracle_on_lfr(self, config):
+        g = generate(config).graph
+        want, closest = walktrap_direct(g, PARAMS.walktrap_t)
+        assert closest > 1e-6  # no step's choice is left to rounding
+        assert walktrap(g, PARAMS) == want
+
+    @pytest.mark.parametrize("sizes", [(3, 4, 5, 6), (3, 4, 5, 6, 7, 8), (6, 3, 7, 4, 5)])
+    def test_matches_direct_oracle_on_ring_of_unequal_cliques(self, sizes):
+        # sigma ties here only between twin nodes of one clique. The best
+        # level keeps each clique whole, so it does not depend on which
+        # twins a tie-break merges first.
+        g = ring_of_cliques(sizes)
+        want, _ = walktrap_direct(g, PARAMS.walktrap_t)
+        clique = [i for i, size in enumerate(sizes) for _ in range(size)]
+        assert len(set(zip(clique, want.membership))) == len(sizes)
+        assert walktrap(g, PARAMS) == want
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(lambda: caterpillar(40, 2), id="caterpillar"),
+            pytest.param(lambda: sparse_graph_with_isolated_nodes(400, 0.01, 3), id="isolated"),
+            pytest.param(lambda: generate(ORACLE_LFR[1]).graph, id="lfr-n400"),
+        ],
+    )
+    def test_deferred_scoring_merges_as_eager_scoring(self, monkeypatch, graph):
+        """A floor of 0 makes walktrap compute every sigma right after its
+        merge, as eager scoring does. The deferred default gives the same
+        partitions, also where sigma ties between twin leaves leave each
+        choice to the tie-break draws, which re-keyed entries keep."""
+        g = graph()
+        deferred = [walktrap(g, AlgoParams(seed=seed)) for seed in range(6)]
+        monkeypatch.setattr(random_walk, "_merged_sigma_floor", lambda *args: 0.0)
+        assert deferred == [walktrap(g, AlgoParams(seed=seed)) for seed in range(6)]
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_merged_sigma_floor_never_exceeds_direct_sigma(self, data):
+        """The floor of sigma(a + b, x) stays at or below the sigma computed
+        from the merged mean, via a and via b, whether sigma(a, x) and
+        sigma(a, b) come from a direct call or from a Ward update after
+        a = a1 + a2, at extreme size ratios and with b on the segment from
+        a to x, where the triangle inequality is tight."""
+        n = data.draw(st.integers(1, 12), label="n")
+        degrees = data.draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
+        inv_d = np.array([1.0 / d if d else 0.0 for d in degrees])
+        size_of = st.one_of(st.integers(1, 4), st.integers(10**5, 10**7))
+        size_a1, size_a2, size_b, size_x = (
+            data.draw(size_of, label=c) for c in ("a1", "a2", "b", "x")
+        )
+
+        def probability_row(label):
+            row = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n), label))
+            return row / row.sum() if row.sum() > 0 else np.eye(n)[0]
+
+        def direct(mean_p, mean_q, size_p, size_q):  # as walktrap computes it
+            diff = mean_p - mean_q
+            return size_p * size_q / (size_p + size_q) * float(diff @ (diff * inv_d)) / n
+
+        def ward(s_1x, s_2x, s_12, size_1, size_2, size_x):
+            return (
+                (size_1 + size_x) * s_1x + (size_2 + size_x) * s_2x - size_x * s_12
+            ) / (size_1 + size_2 + size_x)
+
+        mean_a1, mean_x = probability_row("a1"), probability_row("x")
+        # a2 near a1 makes sigma(a1, a2) the smallest, as for a merged pair.
+        nearness = data.draw(st.floats(0, 1), label="a2 nearness")
+        mean_a2 = (1 - nearness) * mean_a1 + nearness * probability_row("a2")
+        profile_a = mean_a1 * size_a1 + mean_a2 * size_a2
+        size_a = size_a1 + size_a2
+        mean_a = profile_a / size_a
+        if data.draw(st.booleans(), label="b on segment a-x"):
+            mean_b = mean_a + data.draw(st.floats(0, 1), label="share") * (mean_x - mean_a)
+        else:
+            mean_b = probability_row("b")
+        s_12 = direct(mean_a1, mean_a2, size_a1, size_a2)
+
+        def after_a_merge(mean_y, size_y):
+            s_1y = direct(mean_a1, mean_y, size_a1, size_y)
+            s_2y = direct(mean_a2, mean_y, size_a2, size_y)
+            if s_12 <= min(s_1y, s_2y) and data.draw(st.booleans(), label="ward"):
+                return ward(s_1y, s_2y, s_12, size_a1, size_a2, size_y)
+            return direct(mean_a, mean_y, size_a, size_y)
+
+        s_ax = after_a_merge(mean_x, size_x)
+        s_ab = after_a_merge(mean_b, size_b)
+        s_bx = direct(mean_b, mean_x, size_b, size_x)
+        merged = (profile_a + mean_b * size_b) / (size_a + size_b)
+        want = direct(merged, mean_x, size_a + size_b, size_x)
+        assert _merged_sigma_floor(s_ax, s_ab, size_a, size_b, size_x, n) <= want
+        assert _merged_sigma_floor(s_bx, s_ab, size_b, size_a, size_x, n) <= want
+
 
 # Small LFR networks for markov_cluster: on the "dense" ones at least one
 # iteration runs as dense products, on the "sparse" ones none does.
@@ -571,6 +704,50 @@ class TestMarkovCluster:
         assert converged
         assert markov_cluster(g, params) == want
         assert bool(dense_blocks) == takes_dense
+
+    @pytest.mark.parametrize(
+        "name, threshold, skips",
+        [
+            ("dense-n300", 1e-5, True),
+            ("sparse-n300", 1e-5, True),
+            ("dense-n400", 1e-10, False),
+            ("sparse-n300", 1e-10, False),
+        ],
+    )
+    def test_convergence_test_matches_direct_oracle(self, monkeypatch, name, threshold, skips):
+        """Both ways through the convergence test, each taking as many
+        iterations as the full subtraction does. With the default prune
+        threshold every iteration that changes the entry count has every
+        entry of both iterates at or above the epsilon, so the subtraction
+        is skipped. With a threshold below the epsilon some iteration
+        changes the count while an entry is below it, so the subtraction
+        runs; on dense-n400 the last iteration is one of them, and only
+        the subtraction sees that it converged."""
+        g = generate(MCL_LFR[name]).graph
+        params = AlgoParams(mcl_prune_threshold=threshold)
+        epsilon = params.mcl_convergence_epsilon
+        skipped, subtracted = [], []
+        matrix = mcl_start(g)
+        for iterations in range(1, params.mcl_max_iterations + 1):
+            previous, matrix = matrix, _mcl_step(matrix, params)
+            if matrix.nnz != previous.nnz:
+                low = min(matrix.data.min(), previous.data.min())
+                (skipped if low >= epsilon else subtracted).append(low)
+            if abs(matrix - previous).max() < epsilon:
+                break
+        assert (bool(skipped) and not subtracted) if skips else bool(subtracted)
+        steps = []
+        step = random_walk._mcl_step
+
+        def counted(*args):
+            steps.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(random_walk, "_mcl_step", counted)
+        want, converged = markov_cluster_direct(g, params)
+        assert converged
+        assert markov_cluster(g, params) == want
+        assert len(steps) == iterations
 
     def test_memberships_match_pinned_digests(self):
         """The detect-large network and the four n=1000 sweep-reduced units,
