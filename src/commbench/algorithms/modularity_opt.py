@@ -16,23 +16,25 @@ from ..graph import Graph, Partition, quotient_graph
 from ..metrics import modularity
 from . import _require_edges
 
+# The merge engine rebuilds its heap from the current entries once it holds
+# more than four entries per live pair plus this many.
+_REBUILD_SLACK = 1024
+
 
 class _Agglomeration:
     """Pairwise merging of adjacent communities from singletons, tracking
     modularity to return the best level; the caller's heap and pair score
     choose which pair to merge next.
 
-    A community is named by one of its nodes. Heap entries end with
-    (lo, hi, stamp[lo], stamp[hi]); each merge bumps both members'
-    stamps, so an entry is current exactly while neither community has
-    changed since it was pushed. An entry's key may sit below its pair's
-    exact score, never above it; a popped entry is merged only if it is
-    current and exact, and is otherwise dropped or re-keyed. Each live
-    adjacent pair always has an entry that sorts at or below its exact
-    one, so the first entry merged is the smallest exact current entry;
-    current entries of distinct pairs are distinct tuples, so the merge
-    order is the one eager re-scoring of every pair would give, whatever
-    stale or loose entries the heap still holds. An instance runs once.
+    A community is named by one of its nodes, and a pair lo < hi by
+    lo * n + hi, which ends each heap entry, so entries of distinct pairs
+    are distinct and tie in (lo, hi) order. `current` maps each live
+    adjacent pair to its latest entry; any other entry is stale and is
+    dropped when popped. A current entry's key may sit below its pair's
+    exact one, never above it, so the first current entry that is exact
+    when popped is the smallest exact entry of any live pair, and the
+    merge order is the one eager re-scoring of every pair would give. An
+    instance runs once.
     """
 
     def __init__(self, graph):
@@ -46,89 +48,64 @@ class _Agglomeration:
         """Modularity change from merging adjacent communities a and b."""
         return self.links[a][b] / self.m - self.degree[a] * self.degree[b] / self.two_m2
 
-    def run(self, heap, score, merged=None, exact=None) -> Partition:
-        """Merge the pair of each current, exact entry popped from `heap`
-        (one entry per adjacent pair, all with zero stamps), the community
-        with more neighbours surviving; call merged(survivor, absorbed),
-        then push score(survivor, x) + (lo, hi, stamps) for neighbours x,
-        in neighbour-dict order. Returns the level of maximal modularity,
-        later levels winning ties. There are two modes.
-
-        Without `exact` (fastgreedy) every key is exact when pushed, and
-        the caller promises that a merge never lowers the score of a pair
-        whose link weight it left unchanged. Only the absorbed community's
-        neighbours are re-scored; the survivor's other pairs keep their
-        old, now stale, entries as lower bounds. A stale entry of a live
-        pair goes back in at its current score when popped, and a heap
-        rebuild re-scores every live pair.
-
-        With `exact` (walktrap) every neighbour of the survivor is
-        re-scored, stale entries are dropped, and `score` may return a
-        lower bound. A popped current entry goes to exact(entry), which
-        returns None if the entry's key is exact, or else the entry with
-        its exact key, which goes back in. A heap rebuild keeps the
-        current entries. Either way every live pair keeps an entry at or
-        below its exact one, the invariant that fixes the merge order."""
+    def run(self, heap, score, exact, merged) -> Partition:
+        """Merge pairs from `heap`, one entry per adjacent pair, each at or
+        below its pair's exact key. A popped current entry goes to
+        exact(entry), which returns None if its key is exact, and the pair
+        is merged, or else the entry with its exact key, which replaces
+        it. The community with more neighbours survives a merge; then
+        merged(survivor, absorbed, absorbed's former neighbours) returns
+        the survivor's neighbours x to re-score, and score(survivor, x)
+        plus the pair's key is pushed for each, in their order. Every
+        pair it leaves out must keep its entry at or below its exact key.
+        Returns the level of maximal modularity, later levels winning
+        ties."""
         n = len(self.links)
         links, degree = self.links, self.degree
-        stamp = [0] * n
+        current = {entry[-1]: entry for entry in heap}
         q = -sum(d * d for d in degree) / (4.0 * self.m * self.m)
         best_q = q
         merges = []
         best_merges = 0
-        live = len(heap)  # adjacent pairs
         heapq.heapify(heap)
         while heap:
             entry = heap[0]
-            lo, hi, stamp_lo, stamp_hi = entry[-4:]
-            if stamp[lo] != stamp_lo or stamp[hi] != stamp_hi:
-                if exact is None and links[lo] is not None and links[hi] is not None:
-                    heapq.heapreplace(heap, score(lo, hi) + (lo, hi, stamp[lo], stamp[hi]))
-                else:
-                    heapq.heappop(heap)
+            pair = entry[-1]
+            if current.get(pair) is not entry:
+                heapq.heappop(heap)
                 continue
-            if exact is not None:
-                entry = exact(entry)
-                if entry is not None:
-                    heapq.heapreplace(heap, entry)
-                    continue
+            rekeyed = exact(entry)
+            if rekeyed is not None:
+                current[pair] = rekeyed
+                heapq.heapreplace(heap, rekeyed)
+                continue
             heapq.heappop(heap)
+            del current[pair]
+            lo, hi = divmod(pair, n)
             a, b = (hi, lo) if len(links[hi]) > len(links[lo]) else (lo, hi)
             q += self.delta_q(a, b)
             merges.append((a, b))
             wa, wb = links[a], links[b]
             links[b] = None
-            live -= 1
             for nbr, weight in wb.items():
                 if nbr == a:
                     continue
-                if nbr in wa:
-                    live -= 1
+                del current[b * n + nbr if b < nbr else nbr * n + b]
                 wa[nbr] = wa.get(nbr, 0.0) + weight
                 wn = links[nbr]
                 del wn[b]
                 wn[a] = wa[nbr]
             del wa[b], wb[a]
             degree[a] += degree[b]
-            stamp[a] += 1
-            stamp[b] += 1
             if q >= best_q:
                 best_q = q
                 best_merges = len(merges)
-            if merged is not None:
-                merged(a, b)
-            for nbr in wb if exact is None else wa:
-                lo, hi = (a, nbr) if a < nbr else (nbr, a)
-                heapq.heappush(heap, score(a, nbr) + (lo, hi, stamp[lo], stamp[hi]))
-            if len(heap) > 4 * live + 1024:
-                if exact is None:  # one current entry per live pair
-                    heap = [
-                        score(c, x) + (c, x, stamp[c], stamp[x])
-                        for c, wc in enumerate(links) if wc is not None
-                        for x in wc if c < x
-                    ]
-                else:
-                    heap = [e for e in heap if stamp[e[-4]] == e[-2] and stamp[e[-3]] == e[-1]]
+            for nbr in merged(a, b, wb):
+                pair = a * n + nbr if a < nbr else nbr * n + a
+                current[pair] = entry = score(a, nbr) + (pair,)
+                heapq.heappush(heap, entry)
+            if len(heap) > 4 * len(current) + _REBUILD_SLACK:
+                heap = list(current.values())
                 heapq.heapify(heap)
         # Backwards, each survivor already holds its final root when the
         # community it absorbed copies it.
@@ -152,15 +129,22 @@ def fastgreedy(graph: Graph) -> Partition:
     floating point too: degrees are integer-valued sums, exact below 2^53,
     and round-to-nearest is monotone, so each rounded step (d_a d_x, its
     quotient by 2m^2, e_ax / m minus that) moves the way its exact value
-    does or not at all. The merge engine, run without `exact`, therefore
-    re-scores only b's neighbours (`_Agglomeration.run`), and the merge
-    order is the one eager re-scoring gives.
+    does or not at all. So after a merge only b's neighbours are
+    re-scored, and any other pair keeps its entry as a lower bound until
+    it is popped, when `exact` re-scores it (`_Agglomeration.run`); the
+    merge order is the one eager re-scoring gives.
     """
     _require_edges(graph)
     agg = _Agglomeration(graph)
     delta_q = agg.delta_q
-    heap = [(-delta_q(u, v), u, v, 0, 0) for u, v in graph.edges]
-    return agg.run(heap, lambda a, x: (-delta_q(a, x),))
+    n = graph.node_count
+
+    def exact(entry):
+        key = -delta_q(*divmod(entry[-1], n))
+        return None if key == entry[0] else (key, entry[-1])
+
+    heap = [(-delta_q(u, v), u * n + v) for u, v in graph.edges]
+    return agg.run(heap, lambda a, x: (-delta_q(a, x),), exact, lambda a, b, absorbed: absorbed)
 
 
 def _local_moves(graph, rng, objective, tol):

@@ -31,16 +31,19 @@ def walktrap(graph: Graph, params) -> Partition:
     of each merge only, so a direct sigma is one row difference and one
     dot product.
 
-    After b merges into a, a pair (a, x) with both (a, x) and (b, x)
-    adjacent before gets its sigma from the Ward update. Any other pair
-    gets a heap entry at a lower bound (`_merged_sigma_floor`), and its
-    sigma is computed only when the merge engine pops that entry, or when
-    a later Ward update reads it. A bound at or below the merged pair's
-    sigma nearly always reaches the heap top before its pair changes, so
-    that sigma is computed at once. Either way it comes from the same two
-    mean rows as it would right after the merge, so every sigma, and so
-    every merge, is the one eager scoring gives. Each score call draws one tie-break
-    number in neighbour order, and a re-keyed entry keeps it.
+    Merging b into a can lower sigma(a, x) even where x is not adjacent
+    to b, so a's old heap entries bound nothing, and walktrap has the
+    merge engine (`_Agglomeration.run`) re-score every neighbour of the
+    survivor. A pair (a, x) with both (a, x) and (b, x) adjacent before
+    gets its sigma from the Ward update. Any other pair gets an entry at
+    a lower bound (`_merged_sigma_floor`), and its sigma is computed only
+    when the engine pops that entry and asks `exact`, or when a later
+    Ward update reads it. A bound at or below the merged pair's sigma
+    nearly always reaches the heap top before its pair changes, so that
+    sigma is computed at once. Either way it comes from the same two mean
+    rows as it would right after the merge, so every sigma, and so every
+    merge, is the one eager scoring gives. Each score call draws one
+    tie-break number in neighbour order, and a re-keyed entry keeps it.
     """
     _require_edges(graph)
     params.validate()
@@ -49,6 +52,7 @@ def walktrap(graph: Graph, params) -> Partition:
     deg = np.asarray(graph.degrees(), dtype=float)
     inv_d = np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
     profile = _walk_power(graph, inv_d, params.walktrap_t)
+    agg = _Agglomeration(graph)
 
     # Community state, indexed by representative node id. `profile` rows
     # are reused in place as per-community probability sums, and mean[c]
@@ -68,12 +72,12 @@ def walktrap(graph: Graph, params) -> Partition:
     for u, v in graph.edges:
         sig = direct_sigma(mean[u], mean[v], 1, 1)
         sigma[u * n + v] = sig
-        heap.append((sig, rng.random(), u, v, 0, 0))
+        heap.append((sig, rng.random(), u * n + v))
     # The latest merge: (absorbed, size_a, size_b, sigma_ab, and a's and
     # b's mean rows before it, for the Ward update's loose inputs).
     last = None
 
-    def merged(a, b):
+    def merged(a, b, absorbed):
         nonlocal last
         old_a = mean[a] if size[a] > 1 else mean[a].copy()  # profile[a] changes in place
         last = (b, size[a], size[b], sigma.pop(a * n + b if a < b else b * n + a), old_a, mean[b])
@@ -81,6 +85,7 @@ def walktrap(graph: Graph, params) -> Partition:
         size[a] += size[b]
         mean[a] = profile[a] / size[a]
         mean[b] = None
+        return agg.links[a]  # every pair of a's changed
 
     def score(a, x):
         b, size_a, size_b, sigma_ab, old_a, old_b = last
@@ -115,15 +120,15 @@ def walktrap(graph: Graph, params) -> Partition:
         return s_new, rng.random()
 
     def exact(entry):
-        lo, hi = entry[2:4]
-        pair = lo * n + hi
+        pair = entry[-1]
         if pair not in loose:
             return None
         loose.remove(pair)
+        lo, hi = divmod(pair, n)
         sigma[pair] = sig = direct_sigma(mean[lo], mean[hi], size[lo], size[hi])
         return (sig,) + entry[1:]
 
-    return _Agglomeration(graph).run(heap, score, merged, exact)
+    return agg.run(heap, score, exact, merged)
 
 
 # The triangle inequality holds for exact distances between the stored

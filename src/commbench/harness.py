@@ -130,10 +130,13 @@ class SweepSpec:
                 continue
             # tuple[int, ...] -> int, str | None -> str, int -> int
             kind = (typing.get_args(hint) or (hint,))[0]
-            if typing.get_origin(hint) is tuple:
-                kwargs[name] = tuple(kind(v) for v in _aslist(raw[name]))
-            else:
-                kwargs[name] = kind(_asscalar(raw[name]))
+            try:
+                if typing.get_origin(hint) is tuple:
+                    kwargs[name] = tuple(kind(v) for v in _aslist(raw[name]))
+                else:
+                    kwargs[name] = kind(_asscalar(raw[name]))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"sweep spec key {name!r}: {err}") from None
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown sweep spec keys: {sorted(unknown)}")
@@ -425,11 +428,16 @@ def parse_records_csv(path) -> list:
         header = fh.readline().strip().split(",")
         if tuple(header) != RECORD_COLUMNS:
             raise ValueError(f"unexpected records.csv header: {header}")
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) != len(RECORD_COLUMNS):
+                raise ValueError(
+                    f"records.csv line {number} has {len(parts)} fields; "
+                    f"the header has {len(RECORD_COLUMNS)}"
+                )
             kwargs = {
                 col: _RECORD_FIELDS[col](value)
                 for col, value in zip(RECORD_COLUMNS, parts)

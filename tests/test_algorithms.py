@@ -1,9 +1,11 @@
 import hashlib
+import heapq
 import json
 import random
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from commbench.algorithms import (
     leading_eigenvector,
     louvain,
     markov_cluster,
+    modularity_opt,
     radetal,
     random_walk,
     spinglass,
@@ -62,8 +65,9 @@ RING_TRIANGLES = Partition([i // 3 for i in range(12)])
 
 # Seeded LFR graphs on which fastgreedy's heap rebuild fires once each
 # (counted once with a temporary counter on the merge engine's heapq calls).
-# On n400, a rebuild that drops the stale entries live pairs keep as lower
-# bounds, instead of re-keying them, changes fastgreedy's partition.
+# On n400, a rebuild that keeps only the entries whose keys are still exact,
+# dropping those that live pairs keep as lower bounds, changes fastgreedy's
+# partition.
 ORACLE_LFR = [
     LfrConfig(n=300, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.4, seed=1),
     LfrConfig(n=400, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.5, seed=2),
@@ -78,6 +82,19 @@ WALKTRAP_LFR = [
     LfrConfig(n=200, avg_degree=10, max_degree=30, gamma=2, beta=1, mu=0.5, seed=3),
     LfrConfig(n=120, avg_degree=8, max_degree=24, gamma=2, beta=1, mu=0.6, seed=5),
 ]
+
+
+def assert_merge_engine_matches_pinned_digests():
+    networks = list(pinned_sweep_networks("pinned_agglomeration.json"))
+    assert len(networks) == 5
+    for want, g in networks:
+        walktrap_seed = derive_seed(want["master_seed"], f"{want['cell']}|walktrap", 0)
+        got = {
+            "fastgreedy": fastgreedy(g),
+            "walktrap": walktrap(g, AlgoParams(seed=walktrap_seed)),
+        }
+        for name, membership in want["membership_sha256"].items():
+            assert digest(list(got[name].membership)) == membership, (want["cell"], name)
 
 
 def digest(values):
@@ -306,16 +323,40 @@ class TestFastgreedy:
         """fastgreedy and walktrap, which share one merge loop, reproduce
         their memberships on the detect-large network and the four n=1000
         sweep-reduced units, walktrap with the sweep's derived seed."""
-        networks = list(pinned_sweep_networks("pinned_agglomeration.json"))
-        assert len(networks) == 5
-        for want, g in networks:
-            walktrap_seed = derive_seed(want["master_seed"], f"{want['cell']}|walktrap", 0)
-            got = {
-                "fastgreedy": fastgreedy(g),
-                "walktrap": walktrap(g, AlgoParams(seed=walktrap_seed)),
-            }
-            for name, membership in want["membership_sha256"].items():
-                assert digest(list(got[name].membership)) == membership, (want["cell"], name)
+        assert_merge_engine_matches_pinned_digests()
+
+    def test_merge_engine_rebuilt_after_every_merge(self, monkeypatch):
+        """A heap rebuilt from the current entries after every merge keeps
+        fastgreedy's lower-bound entries and walktrap's re-keyed ones, so
+        both detectors still match their direct oracles and the pinned
+        digests."""
+        rebuilds = []
+
+        def heapify(heap):
+            rebuilds.append(len(heap))
+            heapq.heapify(heap)
+
+        monkeypatch.setattr(modularity_opt, "_REBUILD_SLACK", -(10**9))
+        monkeypatch.setattr(modularity_opt, "heapq", SimpleNamespace(
+            heapify=heapify, heappush=heapq.heappush, heappop=heapq.heappop,
+            heapreplace=heapq.heapreplace,
+        ))
+
+        def rebuilt_every_merge(detect, g):
+            rebuilds.clear()
+            got = detect(g)
+            merges = g.node_count - connected_components(g).num_communities
+            assert len(rebuilds) == 1 + merges  # the first heapify, then one per merge
+            return got
+
+        for config in ORACLE_LFR:
+            g = generate(config).graph
+            assert rebuilt_every_merge(fastgreedy, g) == fastgreedy_direct(g)
+        for config in WALKTRAP_LFR[:2]:
+            g = generate(config).graph
+            want, _ = walktrap_direct(g, PARAMS.walktrap_t)
+            assert rebuilt_every_merge(lambda g: walktrap(g, PARAMS), g) == want
+        assert_merge_engine_matches_pinned_digests()
 
 
 class TestLouvain:

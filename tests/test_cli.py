@@ -4,7 +4,7 @@ import typing
 
 import pytest
 
-from commbench import cli
+from commbench import cli, harness
 from commbench.algorithms import ALGORITHMS, AlgoParams
 from commbench.cli import main
 from commbench.graph import Partition, read_edge_list, read_membership, write_membership
@@ -293,6 +293,30 @@ class TestErrorLine:
         foreign.write_text("name,value\na,1\n")
         argv = ["report", "--records", str(foreign), "--out", str(tmp_path / "rep")]
         self.check(argv, "unexpected records.csv header", capsys)
+
+    ROW = ("fastgreedy,100,5,15,2,2,0.1,0.104278,0.85,0,5263039027618417865,"
+           "0.979454,0.748928,14,15,12.5,")
+
+    @pytest.mark.parametrize("bad_row, fields", [(ROW[:-1], 16), (ROW + ",extra", 18)],
+                             ids=["short", "long"])
+    def test_report_on_row_with_wrong_field_count(self, tmp_path, capsys, bad_row, fields):
+        records = tmp_path / "records.csv"
+        header = ",".join(harness.RECORD_COLUMNS)
+        records.write_text(f"{header}\n{self.ROW}\n{bad_row}\n{self.ROW}\n")
+        argv = ["report", "--records", str(records), "--out", str(tmp_path / "rep")]
+        self.check(argv, f"records.csv line 3 has {fields} fields; the header has 17", capsys)
+
+    @pytest.mark.parametrize("spec, key", [
+        ('{"replicates": null}', "replicates"),
+        ('{"node_counts": [[100]]}', "node_counts"),
+        ('{"replicates": {"a": 1}}', "replicates"),
+    ])
+    def test_sweep_with_spec_value_of_wrong_type(self, tmp_path, capsys, spec, key):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec)
+        argv = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "sweep")]
+        self.check(argv, f"sweep spec key '{key}': ", capsys)
+        assert not (tmp_path / "sweep").exists()
 
     def test_sweep_with_unknown_spec_key(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -114,6 +114,19 @@ class TestSweepSpec:
         )
         self.assert_every_field(SweepSpec.from_file(path))
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"replicates": null}', "replicates"),
+        ('{"node_counts": [[100]]}', "node_counts"),
+        ('{"replicates": {"a": 1}}', "replicates"),
+        ('{"avg_degrees": [5, "fifteen"]}', "avg_degrees"),
+        ("replicates = 2, 3", "replicates"),
+    ])
+    def test_value_of_wrong_type_names_its_key(self, tmp_path, text, key):
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^sweep spec key '{key}': "):
+            SweepSpec.from_file(path)
+
     def test_from_key_value_file(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text(
