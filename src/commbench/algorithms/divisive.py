@@ -14,7 +14,10 @@ an edge that joins two components is one whose removal split them.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
+import struct
 
 import numpy as np
 
@@ -22,61 +25,79 @@ from ..graph import Graph, Partition, connected_components
 from . import _require_edges
 
 
-def _coefficient(tri, du, dv):
-    low = min(du, dv) - 1
-    if low < 1:
-        # Pendant edges cannot be triangle-supported bridges; drop them last.
-        return float("inf")
-    return (tri + 1) / low
-
-
 def _removal_order(graph):
     """Every edge in the order of removal: smallest (c, u, v) first, each
-    coefficient taken on the graph left by the earlier removals."""
+    coefficient taken on the graph left by the earlier removals.
+
+    Edge e is edges[e], so edge ids order as (u, v) does. A heap entry is
+    the int code(c) << shift | e, where code(c) is the IEEE-754 bit pattern
+    of c: bit patterns of positive floats, ∞ included, order as the floats
+    do and are equal exactly when the floats are, so entries order as
+    (c, u, v). Codes are memoized for the (triangles + 1, smaller endpoint
+    degree) pairs that occur.
+    """
     n = graph.node_count
-    adj = [set(a) for a in graph.row_view[0]]
+    edges = graph.edges
     deg = graph.degrees()
-    # Edge (u, v), u < v, is keyed u * n + v, so (c, key) sorts as (c, u, v).
-    tri = {u * n + v: len(adj[u] & adj[v]) for u, v in graph.edges}
-    bound = {k: _coefficient(t, deg[k // n], deg[k % n]) for k, t in tri.items()}
-    heap = [(c, k) for k, c in bound.items()]
+    nbr = [{} for _ in range(n)]  # nbr[x]: neighbour of x -> edge id
+    for e, (u, v) in enumerate(edges):
+        nbr[u][v] = nbr[v][u] = e
+    # code(support[e] + d) is e's code when its smaller endpoint degree is d.
+    support = [(len(nbr[u].keys() & nbr[v].keys()) + 1) * n for u, v in edges]
+
+    @functools.cache
+    def code(key):
+        t1, d = divmod(key, n)  # (triangles + 1, smaller endpoint degree)
+        c = t1 / (d - 1) if d > 1 else math.inf  # a pendant edge goes last
+        return int.from_bytes(struct.pack("<d", c), "little")
+
+    shift = len(edges).bit_length()
+    mask = (1 << shift) - 1
+    bound = [
+        code(s + min(deg[u], deg[v])) << shift | e
+        for e, ((u, v), s) in enumerate(zip(edges, support))
+    ]
+    heap = bound[:]
     heapq.heapify(heap)
 
-    # bound[e] is at most e's current coefficient, and the heap holds
-    # (bound[e], e) for every live edge e; other entries are stale. A top
-    # entry whose bound equals its edge's current coefficient is therefore
-    # the smallest (c, u, v) over all live edges, ties included: every other
-    # live edge f has (c_f, f) >= (bound[f], f) >= the top entry. A degree
-    # fall only raises a coefficient, so it pushes nothing; the edge goes
-    # back in at its new value when it reaches the top. Only a lost triangle
-    # lowers a coefficient, and those edges are pushed at once.
+    # bound[e] is at most e's current entry, and the heap holds bound[e] for
+    # every live edge e; other entries are stale. A top entry equal to its
+    # edge's current entry is therefore the smallest (c, u, v) over all live
+    # edges, ties included: every other live edge f has a current entry of
+    # at least bound[f], which is at least the top. A degree fall only raises
+    # a coefficient, so it pushes nothing; the edge goes back in at its new
+    # entry when it reaches the top. Only a lost triangle lowers a
+    # coefficient, and those edges are pushed at once.
     order = []
     while heap:
-        c, key = heap[0]
-        if bound.get(key) != c:
+        top = heap[0]
+        e = top & mask
+        if bound[e] != top:
             heapq.heappop(heap)
             continue
-        u, v = divmod(key, n)
-        now = _coefficient(tri[key], deg[u], deg[v])
-        if now > c:
-            bound[key] = now
-            heapq.heapreplace(heap, (now, key))
+        u, v = edges[e]
+        du, dv = deg[u], deg[v]
+        now = code(support[e] + (du if du < dv else dv)) << shift | e
+        if now > top:
+            bound[e] = now
+            heapq.heapreplace(heap, now)
             continue
         heapq.heappop(heap)
-        del bound[key]
+        bound[e] = -1
         order.append((u, v))
-        adj[u].discard(v)
-        adj[v].discard(u)
-        deg[u] -= 1
-        deg[v] -= 1
-        for w in adj[u] & adj[v]:
-            for x in (u, v):
-                k = x * n + w if x < w else w * n + x
-                tri[k] -= 1
-                c = _coefficient(tri[k], deg[x], deg[w])
-                if c < bound[k]:
-                    bound[k] = c
-                    heapq.heappush(heap, (c, k))
+        del nbr[u][v], nbr[v][u]
+        deg[u] = du = du - 1
+        deg[v] = dv = dv - 1
+        common = nbr[u].keys() & nbr[v].keys()
+        for nx, dx in ((nbr[u], du), (nbr[v], dv)):
+            for w in common:
+                f = nx[w]
+                support[f] = s = support[f] - n
+                dw = deg[w]
+                now = code(s + (dx if dx < dw else dw)) << shift | f
+                if now < bound[f]:
+                    bound[f] = now
+                    heapq.heappush(heap, now)
     return order
 
 

@@ -131,16 +131,29 @@ class SweepSpec:
             # tuple[int, ...] -> int, str | None -> str, int -> int
             kind = (typing.get_args(hint) or (hint,))[0]
             try:
-                if typing.get_origin(hint) is tuple:
-                    kwargs[name] = tuple(kind(v) for v in _aslist(raw[name]))
+                if raw[name] is None and type(None) in typing.get_args(hint):
+                    kwargs[name] = None
+                elif typing.get_origin(hint) is tuple:
+                    kwargs[name] = tuple(_spec_value(kind, v) for v in _aslist(raw[name]))
                 else:
-                    kwargs[name] = kind(_asscalar(raw[name]))
+                    kwargs[name] = _spec_value(kind, _asscalar(raw[name]))
             except (TypeError, ValueError) as err:
                 raise ValueError(f"sweep spec key {name!r}: {err}") from None
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown sweep spec keys: {sorted(unknown)}")
         return cls(**kwargs)
+
+
+def _spec_value(kind, value):
+    """`value` as `kind`, refusing what the conversion would change without
+    a word: a bool, a float with a fraction where an int is expected, and
+    a non-string where a string is."""
+    if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
 
 
 def _aslist(value):
@@ -438,10 +451,16 @@ def parse_records_csv(path) -> list:
                     f"records.csv line {number} has {len(parts)} fields; "
                     f"the header has {len(RECORD_COLUMNS)}"
                 )
-            kwargs = {
-                col: _RECORD_FIELDS[col](value)
-                for col, value in zip(RECORD_COLUMNS, parts)
-            }
+            kwargs = {}
+            for col, value in zip(RECORD_COLUMNS, parts):
+                kind = _RECORD_FIELDS[col]
+                try:
+                    kwargs[col] = kind(value)
+                except ValueError:
+                    raise ValueError(
+                        f"records.csv line {number}, column {col!r}: "
+                        f"{value!r} is not a valid {kind.__name__}"
+                    ) from None
             records.append(RunRecord(**kwargs))
     return records
 

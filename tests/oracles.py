@@ -247,16 +247,45 @@ def spinglass_direct(graph, params):
     return Partition.from_labels(best_spins)
 
 
-def radetal_direct(graph):
-    """Radicchi et al. divisive clustering with every step recomputed from
+def removal_order_direct(graph):
+    """Radicchi et al.'s edge removal order with every step recomputed from
     scratch.
 
     Each step computes every remaining edge's clustering coefficient,
     (triangles + 1) / (smaller endpoint degree - 1), infinite when that
-    denominator is below 1, and removes the smallest (c, u, v). After each
-    removal the components are found again by search, and the original
-    graph's Q is scored on them. Returns the components of largest Q,
-    earlier levels winning ties.
+    denominator is below 1, and removes the smallest (c, u, v). Returns the
+    removed (u, v) edges in order.
+    """
+    adj = [set() for _ in range(graph.node_count)]
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def coefficient(u, v):
+        low = min(len(adj[u]), len(adj[v])) - 1
+        if low < 1:
+            return math.inf
+        return (len(adj[u] & adj[v]) + 1) / low
+
+    order = []
+    remaining = set(graph.edges)
+    while remaining:
+        _, u, v = min((coefficient(u, v), u, v) for u, v in remaining)
+        remaining.remove((u, v))
+        adj[u].remove(v)
+        adj[v].remove(u)
+        order.append((u, v))
+    return order
+
+
+def radetal_direct(graph):
+    """Radicchi et al. divisive clustering with every step recomputed from
+    scratch.
+
+    Edges are removed in `removal_order_direct`'s order. After each removal
+    the components are found again by search, and the original graph's Q
+    is scored on them. Returns the components of largest Q, earlier levels
+    winning ties.
     """
     n = graph.node_count
     adj = [set() for _ in range(n)]
@@ -281,19 +310,10 @@ def radetal_direct(graph):
             count += 1
         return label, count
 
-    def coefficient(u, v):
-        low = min(len(adj[u]), len(adj[v])) - 1
-        if low < 1:
-            return math.inf
-        return (len(adj[u] & adj[v]) + 1) / low
-
     label, count = components()
     best_q = _direct_q(graph, label)
     best = label
-    remaining = set(graph.edges)
-    while remaining:
-        _, u, v = min((coefficient(u, v), u, v) for u, v in remaining)
-        remaining.remove((u, v))
+    for u, v in removal_order_direct(graph):
         adj[u].remove(v)
         adj[v].remove(u)
         label, split_count = components()

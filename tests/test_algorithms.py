@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import json
 import random
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -29,6 +30,7 @@ from commbench.algorithms import (
     spinglass,
     walktrap,
 )
+from commbench.algorithms.divisive import _removal_order
 from commbench.algorithms.information import description_length
 from commbench.algorithms.modularity_opt import _local_moves
 from commbench.algorithms.random_walk import (
@@ -53,6 +55,7 @@ from oracles import (
     max_modularity_connected,
     modularity_direct,
     radetal_direct,
+    removal_order_direct,
     spinglass_direct,
     walktrap_direct,
 )
@@ -117,6 +120,29 @@ def ring_of_cliques(sizes):
         edges += clique_edges(range(starts[i], starts[i] + size))
         edges.append((starts[i] + size - 1, starts[(i + 1) % len(sizes)]))
     return Graph(starts[-1], edges)
+
+
+def cliques_with_tree(seed):
+    """Two bridged cliques with a random tree hung on them: every leaf edge
+    has an infinite coefficient, and the tree edges have no triangles."""
+    rng = random.Random(seed)
+    edges = clique_edges(range(6)) + clique_edges(range(6, 11))
+    edges.append((5, 6))
+    n = 11
+    for _ in range(40):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    return Graph(n, edges)
+
+
+def two_hubs(degree, shared):
+    """Adjacent hubs 0 and 1 of the given degree with `shared` common
+    neighbours; their other neighbours are pendant leaves."""
+    edges = [(0, 1)]
+    edges += [(h, 2 + i) for i in range(shared) for h in (0, 1)]
+    leaves = degree - 1 - shared
+    edges += [(h, 2 + shared + h * leaves + i) for h in (0, 1) for i in range(leaves)]
+    return Graph(2 + shared + 2 * leaves, edges)
 
 
 def pinned_sweep_networks(name):
@@ -263,16 +289,7 @@ class TestRadetal:
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_matches_direct_oracle_with_pendant_edges(self, seed):
-        # Cliques with a random tree hung on them: every leaf edge has an
-        # infinite coefficient, and the tree edges have no triangles.
-        rng = random.Random(seed)
-        edges = clique_edges(range(6)) + clique_edges(range(6, 11))
-        edges.append((5, 6))
-        n = 11
-        for _ in range(40):
-            edges.append((rng.randrange(n), n))
-            n += 1
-        g = Graph(n, edges)
+        g = cliques_with_tree(seed)
         assert sum(1 for d in g.degrees() if d == 1) >= 10
         assert radetal(g) == radetal_direct(g)
 
@@ -283,6 +300,42 @@ class TestRadetal:
         got = radetal(g)
         assert got == radetal_direct(g)
         assert got == Partition([v // size for v in range(count * size)])
+
+    @pytest.mark.parametrize("build", [
+        lambda: ring_of_cliques([4] * 4),
+        lambda: ring_of_cliques([5] * 6),
+        lambda: cliques_with_tree(6),
+        lambda: sparse_graph_with_isolated_nodes(120, 0.025, 3),
+        lambda: two_hubs(12, shared=4),
+        lambda: two_hubs(9, shared=8),
+    ], ids=["ring4x4", "ring6x5", "pendant", "components", "hubs", "hubs-all-shared"])
+    def test_removal_order_matches_direct_oracle(self, build):
+        # Step for step, ties included: the rings tie every coefficient
+        # with its rotations, and the hub graphs tie every leaf at infinity.
+        g = build()
+        assert _removal_order(g) == removal_order_direct(g)
+
+    def test_removal_order_matches_pinned_digest(self):
+        # Digests of the removal order and partition recorded before the
+        # heap held one-int entries.
+        networks = list(pinned_sweep_networks("pinned_removal_order.json"))
+        assert len(networks) == 5
+        for want, g in networks:
+            assert digest(_removal_order(g)) == want["removal_order_sha256"], want["cell"]
+            assert digest(list(radetal(g).membership)) == want["membership_sha256"], want["cell"]
+
+    def test_memory_stays_linear_on_adjacent_hubs(self):
+        # Coefficient codes are kept only for the (t + 1, d) pairs that
+        # occur: a table over every pair would take 4000^2 entries here.
+        g = two_hubs(4000, shared=100)
+        g.row_view
+        tracemalloc.start()
+        try:
+            radetal(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * g.edge_count
 
 
 class TestFastgreedy:

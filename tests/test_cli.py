@@ -261,6 +261,7 @@ class TestErrorLine:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -306,10 +307,20 @@ class TestErrorLine:
         argv = ["report", "--records", str(records), "--out", str(tmp_path / "rep")]
         self.check(argv, f"records.csv line 3 has {fields} fields; the header has 17", capsys)
 
+    def test_report_on_field_that_does_not_parse(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        header = ",".join(harness.RECORD_COLUMNS)
+        bad_row = self.ROW.replace(",0.979454,", ",zero,")
+        records.write_text(f"{header}\n{self.ROW}\n{self.ROW}\n{bad_row}\n")
+        argv = ["report", "--records", str(records), "--out", str(tmp_path / "rep")]
+        self.check(argv, "records.csv line 4, column 'nmi': 'zero' is not a valid float", capsys)
+
     @pytest.mark.parametrize("spec, key", [
         ('{"replicates": null}', "replicates"),
         ('{"node_counts": [[100]]}', "node_counts"),
         ('{"replicates": {"a": 1}}', "replicates"),
+        ('{"replicates": 2.5}', "replicates"),
+        ('{"master_seed": true}', "master_seed"),
     ])
     def test_sweep_with_spec_value_of_wrong_type(self, tmp_path, capsys, spec, key):
         spec_path = tmp_path / "spec.json"

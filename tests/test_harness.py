@@ -120,12 +120,25 @@ class TestSweepSpec:
         ('{"replicates": {"a": 1}}', "replicates"),
         ('{"avg_degrees": [5, "fifteen"]}', "avg_degrees"),
         ("replicates = 2, 3", "replicates"),
+        ('{"replicates": 2.5}', "replicates"),
+        ('{"master_seed": true}', "master_seed"),
+        ('{"avg_degrees": [5, true]}', "avg_degrees"),
+        ('{"algorithms": ["louvain", 1]}', "algorithms"),
+        ('{"output_dir": 5}', "output_dir"),
+        ("replicates = 2.5", "replicates"),
     ])
     def test_value_of_wrong_type_names_its_key(self, tmp_path, text, key):
         path = tmp_path / "spec.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^sweep spec key '{key}': "):
             SweepSpec.from_file(path)
+
+    def test_json_null_on_optional_field_is_none(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"output_dir": null, "replicates": 3.0}')
+        spec = SweepSpec.from_file(path)
+        assert spec.output_dir is None
+        assert spec.replicates == 3 and type(spec.replicates) is int
 
     def test_from_key_value_file(self, tmp_path):
         path = tmp_path / "spec.txt"
