@@ -76,6 +76,11 @@ def _map_gain(graph):
     p_mod = list(strength)
     w_out = [s - w for s, w in zip(strength, self_w)]
     q_tot = sum(w_out)
+    # Each module's _module_terms and the index term _plogp(q_tot / two_w),
+    # kept current by `join` for the two modules a move changes.
+    terms = [_module_terms(w, p, two_w) for w, p in zip(w_out, p_mod)]
+    plogp_q_tot = _plogp(q_tot / two_w)
+    log = math.log
 
     def without(v, cur, e_cur):  # v's cross weight; exit weights with v taken out
         k_cross = strength[v] - self_w[v]
@@ -85,30 +90,37 @@ def _map_gain(graph):
     def leave(v, cur, e_cur, links):
         s_v = strength[v]
         k_cross, out_cur, base_q_tot = without(v, cur, e_cur)
-        plogp_q_tot = _plogp(q_tot / two_w)
         delta_cur = _module_terms(out_cur, p_mod[cur] - s_v, two_w)
-        delta_cur -= _module_terms(w_out[cur], p_mod[cur], two_w)
+        delta_cur -= terms[cur]
         scores = []
         for c, e_c in links.items():
             out_new = w_out[c] + k_cross - 2.0 * e_c
+            # _plogp(x) - plogp_q_tot + delta_cur + _module_terms(out_new,
+            # p_mod[c] + s_v, two_w) - terms[c], with _plogp written out.
+            x = (base_q_tot - w_out[c] + out_new) / two_w
+            q = out_new / two_w
+            y = q + (p_mod[c] + s_v) / two_w
             delta = (
-                _plogp((base_q_tot - w_out[c] + out_new) / two_w)
+                (x * log(x) if x > 0.0 else 0.0)
                 - plogp_q_tot
                 + delta_cur
-                + _module_terms(out_new, p_mod[c] + s_v, two_w)
-                - _module_terms(w_out[c], p_mod[c], two_w)
+                + (-2.0 * (q * log(q) if q > 0.0 else 0.0) + (y * log(y) if y > 0.0 else 0.0))
+                - terms[c]
             )
             scores.append(-delta)
         return 0.0, scores
 
     def join(v, cur, best, e_cur, links):
-        nonlocal q_tot
+        nonlocal q_tot, plogp_q_tot
         k_cross, w_out[cur], base_q_tot = without(v, cur, e_cur)
         p_mod[cur] -= strength[v]
         out_new = w_out[best] + k_cross - 2.0 * links[best]
         q_tot = base_q_tot - w_out[best] + out_new
         w_out[best] = out_new
         p_mod[best] += strength[v]
+        for c in (cur, best):
+            terms[c] = _module_terms(w_out[c], p_mod[c], two_w)
+        plogp_q_tot = _plogp(q_tot / two_w)
 
     return leave, join
 

@@ -387,6 +387,9 @@ def _buffered_below(rng):
 
     Words come from `rng` in blocks of 4096, a half word cached by the bit
     generator first, and each draw applies numpy's Lemire step to them.
+    One `itertools.chain.from_iterable` over the blocks hands out the
+    words, so a read runs Python code only when a block is used up and
+    the next one is drawn.
     k == 1 returns 0 without a word, as numpy does. On exit `rng` is put
     back in its state from before the last block and draws again only the
     words of it that were used, so it ends where the scalar draws would
@@ -394,13 +397,13 @@ def _buffered_below(rng):
     """
     block = [None, iter(())]  # rng's state before the block, its unread words
 
-    def words():
+    def blocks():
         while True:
             block[0] = rng.bit_generator.state
             block[1] = iter(rng.integers(0, 1 << 32, size=4096, dtype=np.uint32).tolist())
-            yield from block[1]
+            yield block[1]
 
-    word = words().__next__
+    word = itertools.chain.from_iterable(blocks()).__next__
 
     def below(k):
         if k == 1:
@@ -470,6 +473,23 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
     Picks are drawn with `_buffered_below`: the swaps, the result and the
     state `rng` is left in are those of one scalar `int(rng.integers(k))`
     per pick.
+
+    The swap loop has one branch per direction, and each knows the classes
+    of the edges it drops and adds. That is why it skips checks, and why
+    its Δ equals, to the bit, the generic sum that starts at 0.0, subtracts
+    1/k_u + 1/k_v for each dropped inter edge (u, v) and adds it for each
+    new inter edge; `tests/oracles.py::rewire_direct` keeps that form.
+    - Raising: (a, b) and (c, d) are intra, and a and c lie in different
+      communities, so the four nodes are distinct, and (a, c) and (b, d)
+      are both inter: Δ = (1/k_a + 1/k_c) + (1/k_b + 1/k_d).
+    - Lowering: (a, b) and (c, d) are inter, and a and c lie in the
+      focus community, so a ≠ d and b ≠ c. Only a == c (j == i among
+      them) or b == d repeats a node. (a, c) is intra, and (b, d) is inter
+      exactly when b and d lie in different communities:
+      Δ = -(1/k_a + 1/k_b) - (1/k_c + 1/k_d), plus 1/k_b + 1/k_d then.
+    Float addition commutes and 0.0 ± x is exact, so both forms give the
+    same bits. The list bookkeeping drops i then j and adds i then j, as
+    one generic drop and add per edge would.
     """
     if planted.node_count != graph.node_count:
         raise ValueError("partition does not cover the graph's node set")
@@ -502,56 +522,9 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
     edges = graph.edges
     edge_set = set(edges)
 
-    def add(i):
-        u, v = edges[i]
-        cu, cv = member[u], member[v]
-        if cu != cv:
-            pos[i] = len(inter_idx)
-            inter_idx.append(i)
-            for c, k in ((cu, 2 * i), (cv, 2 * i + 1)):
-                cpos[k] = len(by_comm[c])
-                by_comm[c].append(i)
-        else:
-            pos[i] = len(intra_idx)
-            intra_idx.append(i)
-
-    def drop(i):
-        u, v = edges[i]
-        cu, cv = member[u], member[v]
-        if cu != cv:
-            slot = pos[i]
-            last = inter_idx.pop()
-            if last != i:
-                inter_idx[slot] = last
-                pos[last] = slot
-            for c, k in ((cu, 2 * i), (cv, 2 * i + 1)):
-                lst = by_comm[c]
-                slot = cpos[k]
-                last = lst.pop()
-                if last != i:
-                    lst[slot] = last
-                    # The moved edge is inter, so exactly one end is in c.
-                    cpos[2 * last + (member[edges[last][0]] != c)] = slot
-        else:
-            slot = pos[i]
-            last = intra_idx.pop()
-            if last != i:
-                intra_idx[slot] = last
-                pos[last] = slot
-
     current_gap = abs(ratio_sum / active - target)
     if current_gap <= tol:
         return graph
-
-    def swap_delta(old1, old2, new1, new2):
-        delta = 0.0
-        for u, v in (old1, old2):
-            if member[u] != member[v]:
-                delta -= inv_deg[u] + inv_deg[v]
-        for u, v in (new1, new2):
-            if member[u] != member[v]:
-                delta += inv_deg[u] + inv_deg[v]
-        return delta
 
     budget = 50 * m if config.max_rewire_iterations is None else config.max_rewire_iterations
     # Drive the gap well inside the tolerance band rather than stopping at
@@ -568,10 +541,33 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                 j = intra_idx[below(len(intra_idx))]
                 a, b = edges[i]
                 c, d = edges[j]
-                if member[a] == member[c] or len({a, b, c, d}) < 4:
+                if member[a] == member[c]:
                     continue
                 if below(2):
                     c, d = d, c
+                new1 = (a, c) if a < c else (c, a)
+                new2 = (b, d) if b < d else (d, b)
+                if new1 in edge_set or new2 in edge_set:
+                    continue
+                delta = (inv_deg[a] + inv_deg[c]) + (inv_deg[b] + inv_deg[d])
+                new_gap = abs((ratio_sum + delta) / active - target)
+                if new_gap >= current_gap:
+                    continue
+                for e in (i, j):
+                    slot = pos[e]
+                    last = intra_idx.pop()
+                    if last != e:
+                        intra_idx[slot] = last
+                        pos[last] = slot
+                for e, (u, v) in ((i, new1), (j, new2)):
+                    pos[e] = len(inter_idx)
+                    inter_idx.append(e)
+                    lst = by_comm[member[u]]
+                    cpos[2 * e] = len(lst)
+                    lst.append(e)
+                    lst = by_comm[member[v]]
+                    cpos[2 * e + 1] = len(lst)
+                    lst.append(e)
             else:
                 # Pair an inter edge with another inter edge touching the same
                 # community, closing one intra edge there.
@@ -586,32 +582,65 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                 if len(pool) < 2:
                     continue
                 j = pool[below(len(pool))]
-                if j == i:
-                    continue
                 c, d = edges[j]
                 if member[c] != focus:
                     c, d = d, c
-                if len({a, b, c, d}) < 4:
+                if a == c or b == d:
                     continue
-            new1 = (a, c) if a < c else (c, a)
-            new2 = (b, d) if b < d else (d, b)
-            if new1 in edge_set or new2 in edge_set:
-                continue
-            old1, old2 = edges[i], edges[j]
-            delta = swap_delta(old1, old2, new1, new2)
-            new_gap = abs((ratio_sum + delta) / active - target)
-            if new_gap >= current_gap:
-                continue
-            drop(i)
-            drop(j)
-            edge_set.discard(old1)
-            edge_set.discard(old2)
+                new1 = (a, c) if a < c else (c, a)
+                new2 = (b, d) if b < d else (d, b)
+                if new1 in edge_set or new2 in edge_set:
+                    continue
+                delta = -(inv_deg[a] + inv_deg[b]) - (inv_deg[c] + inv_deg[d])
+                new2_inter = member[b] != member[d]
+                if new2_inter:
+                    delta += inv_deg[b] + inv_deg[d]
+                new_gap = abs((ratio_sum + delta) / active - target)
+                if new_gap >= current_gap:
+                    continue
+                for e in (i, j):
+                    slot = pos[e]
+                    last = inter_idx.pop()
+                    if last != e:
+                        inter_idx[slot] = last
+                        pos[last] = slot
+                    u, v = edges[e]
+                    cid = member[u]
+                    lst = by_comm[cid]
+                    slot = cpos[2 * e]
+                    last = lst.pop()
+                    if last != e:
+                        lst[slot] = last
+                        # The moved edge is inter, so exactly one end is in cid.
+                        cpos[2 * last + (member[edges[last][0]] != cid)] = slot
+                    cid = member[v]
+                    lst = by_comm[cid]
+                    slot = cpos[2 * e + 1]
+                    last = lst.pop()
+                    if last != e:
+                        lst[slot] = last
+                        cpos[2 * last + (member[edges[last][0]] != cid)] = slot
+                pos[i] = len(intra_idx)
+                intra_idx.append(i)
+                if new2_inter:
+                    u, v = new2
+                    pos[j] = len(inter_idx)
+                    inter_idx.append(j)
+                    lst = by_comm[member[u]]
+                    cpos[2 * j] = len(lst)
+                    lst.append(j)
+                    lst = by_comm[member[v]]
+                    cpos[2 * j + 1] = len(lst)
+                    lst.append(j)
+                else:
+                    pos[j] = len(intra_idx)
+                    intra_idx.append(j)
+            edge_set.discard(edges[i])
+            edge_set.discard(edges[j])
             edges[i] = new1
             edges[j] = new2
             edge_set.add(new1)
             edge_set.add(new2)
-            add(i)
-            add(j)
             ratio_sum += delta
             current_gap = new_gap
             if current_gap <= inner_tol:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from commbench import lfr
 from commbench.algorithms import AlgoParams, louvain
 from commbench.graph import Graph, Partition
 from commbench.harness import Cell, derive_seed
@@ -465,6 +466,22 @@ def _rewire_both(graph, planted, config, state):
     return out
 
 
+def _rewire_inputs(config, monkeypatch):
+    """The skeleton, planted partition, resolved config and generator state
+    that `generate(config)` hands to `rewire_to_mixing`, community-size
+    redraws included. Rewiring itself is skipped."""
+    seen = []
+
+    def record(graph, planted, resolved, rng):
+        seen.append((graph, planted, resolved, rng.bit_generator.state))
+        return graph
+
+    monkeypatch.setattr(lfr, "rewire_to_mixing", record)
+    generate(config)
+    monkeypatch.undo()
+    return seen[0]
+
+
 class TestRewiringLists:
     """`_rewiring_lists` equals the per-edge loop it replaced: the same
     lists in the same order, and the same ratio sum to the bit."""
@@ -541,6 +558,52 @@ class TestRewireMatchesScalarOracle:
         )
         assert got == want
         assert len(got_warn) == 1 and "budget exhausted" in got_warn[0]
+        assert got_warn == want_warn
+
+    def test_budget_exhaustion_on_generate_path(self, monkeypatch):
+        # Its community sizes are redrawn before the skeleton is built, and
+        # rewiring stops at mu=0.0717, short of the target.
+        config = LfrConfig(
+            n=100, avg_degree=5, max_degree=15, gamma=3.0, beta=2.0, mu=0.05, seed=15,
+        )
+        graph, planted, resolved, state = _rewire_inputs(config, monkeypatch)
+        (got, got_warn), (want, want_warn) = _rewire_both(graph, planted, resolved, state)
+        assert got == want
+        assert got_warn == want_warn == [
+            "rewiring budget exhausted; achieved mu=0.0717 (target 0.05)"
+        ]
+
+    def test_both_branches_when_the_target_is_crossed(self, monkeypatch):
+        # A tolerance too tight to meet: the lowering branch overshoots the
+        # target, and the loop runs on in both directions until the budget
+        # is spent. Ending below a target it started above means every
+        # iteration after the last accepted swap took the raising branch.
+        config = LfrConfig(
+            n=100, avg_degree=5, max_degree=15, gamma=3.0, beta=2.0, mu=0.3, seed=2,
+            mixing_tolerance=1e-4,
+        )
+        graph, planted, resolved, state = _rewire_inputs(config, monkeypatch)
+        (got, got_warn), (want, want_warn) = _rewire_both(graph, planted, resolved, state)
+        assert got == want
+        assert len(got_warn) == 1 and "budget exhausted" in got_warn[0]
+        assert got_warn == want_warn
+        before = measured_mixing(graph, planted).per_node
+        after = measured_mixing(Graph(graph.node_count, got), planted).per_node
+        assert after < config.mu < before
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_raising_swaps_then_lowering_picks(self, seed):
+        # Raised from mu=0.1 towards 0.4 with a tolerance too tight to meet:
+        # the loop crosses the target once after thousands of raising swaps,
+        # and its lowering pick reads the inter-edge lists in the order the
+        # raising branch appended to them.
+        net = generate(LfrConfig(
+            n=100, avg_degree=5, max_degree=15, gamma=3.0, beta=2.0, mu=0.1, seed=seed,
+        ))
+        config = dataclasses.replace(net.config, mu=0.4, mixing_tolerance=1e-4)
+        state = np.random.default_rng(seed).bit_generator.state
+        (got, got_warn), (want, want_warn) = _rewire_both(net.graph, net.planted, config, state)
+        assert got == want
         assert got_warn == want_warn
 
 
@@ -628,14 +691,21 @@ class TestGenerate:
             assert digest(list(net.planted.membership)) == want["membership_sha256"], key
 
     def test_small_network_louvain_recovery(self):
-        hits = 0
+        hits, missed = 0, []
         for seed in range(20):
             config = LfrConfig(
                 n=100, avg_degree=5, max_degree=15, gamma=3.0, beta=2.0,
                 mu=0.05, seed=seed,
             )
-            net = generate(config)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                net = generate(config)
+            if any(issubclass(w.category, MixingToleranceWarning) for w in caught):
+                missed.append(seed)
             got = louvain(net.graph, AlgoParams(seed=seed))
             if partition_nmi(net.planted, got) >= 0.95:
                 hits += 1
         assert hits > 10
+        # Rewiring reaches only mu=0.0717 on seed 15 (see
+        # TestRewireMatchesScalarOracle); every other seed meets its target.
+        assert missed == [15]
