@@ -39,7 +39,6 @@ class AlgoParams:
     eigen_tolerance: float = 1e-8  # ARPACK's `tol` (leading_eigenvector)
     eigen_max_iterations: int = 20000  # ARPACK's `maxiter`: Lanczos restarts
     lp_max_rounds: int = 100
-    infomap_anneal: bool = False
     seed: int = 0
 
     def validate(self):

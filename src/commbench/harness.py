@@ -89,8 +89,10 @@ class SweepSpec:
             raise ValueError("max_degree_factor must be positive")
 
     def mu_values(self):
+        """start, start + step, ... up to stop. The 1e-9 absorbs the rounding
+        of a step that divides the range; an uneven grid ends below stop."""
         start, stop, step = self.mu_grid
-        count = int(round((stop - start) / step)) + 1
+        count = math.floor((stop - start) / step + 1e-9) + 1
         return [round(start + i * step, 10) for i in range(count)]
 
     def cells(self):
@@ -319,6 +321,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1, artifact_dir=None) -> SweepOutc
     Generation failures become skipped-cell diagnostics rather than
     crashes. Output ordering is deterministic regardless of `workers`.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     spec.validate()
     units = [
         (spec, cell, replicate, artifact_dir)
@@ -328,7 +332,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, artifact_dir=None) -> SweepOutc
     # Largest networks first, one unit per task, so no worker is left with
     # a long unit after the others run dry.
     units.sort(key=lambda unit: -unit[1].n * unit[1].avg_degree)
-    if workers <= 1:
+    if workers == 1:
         outcomes = [_run_unit(unit) for unit in units]
     else:
         with Pool(processes=workers) as pool:

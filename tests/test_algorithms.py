@@ -40,7 +40,13 @@ from commbench.algorithms.random_walk import (
     _walk_power,
 )
 from commbench.algorithms.spectral import _DENSE_MAX_SIZE, _GroupMatrix, _try_split
-from commbench.graph import Graph, Partition, connected_components, edge_triangle_count
+from commbench.graph import (
+    Graph,
+    Partition,
+    connected_components,
+    edge_triangle_count,
+    quotient_graph,
+)
 from commbench.harness import Cell, SweepSpec, derive_seed, run_sweep
 from commbench.lfr import LfrConfig, generate
 from commbench.metrics import modularity, partition_nmi
@@ -90,7 +96,8 @@ WALKTRAP_LFR = [
 def assert_merge_engine_matches_pinned_digests():
     networks = list(pinned_sweep_networks("pinned_agglomeration.json"))
     assert len(networks) == 5
-    for want, g in networks:
+    for want, net in networks:
+        g = net.graph
         walktrap_seed = derive_seed(want["master_seed"], f"{want['cell']}|walktrap", 0)
         got = {
             "fastgreedy": fastgreedy(g),
@@ -146,8 +153,8 @@ def two_hubs(degree, shared):
 
 
 def pinned_sweep_networks(name):
-    """Yield (entry, graph) for each network of a pinned-digest file that
-    names sweep units by master seed, cell key and replicate."""
+    """Yield (entry, PlantedNetwork) for each network of a pinned-digest
+    file that names sweep units by master seed, cell key and replicate."""
     pin = json.loads((Path(__file__).parent / "data" / name).read_text())
     for want in pin["networks"]:
         fields = dict(item.split("=") for item in want["cell"].split(","))
@@ -160,9 +167,9 @@ def pinned_sweep_networks(name):
         seed = derive_seed(want["master_seed"], want["cell"], pin["replicate"])
         assert seed == want["seed"]
         config = LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True)
-        g = generate(config).graph
-        assert digest(g.edges) == want["edges_sha256"], want["cell"]
-        yield want, g
+        net = generate(config)
+        assert digest(net.graph.edges) == want["edges_sha256"], want["cell"]
+        yield want, net
 
 
 def caterpillar(spine, legs):
@@ -320,7 +327,8 @@ class TestRadetal:
         # heap held one-int entries.
         networks = list(pinned_sweep_networks("pinned_removal_order.json"))
         assert len(networks) == 5
-        for want, g in networks:
+        for want, net in networks:
+            g = net.graph
             assert digest(_removal_order(g)) == want["removal_order_sha256"], want["cell"]
             assert digest(list(radetal(g).membership)) == want["membership_sha256"], want["cell"]
 
@@ -849,7 +857,8 @@ class TestMarkovCluster:
         reproduce digests written by the all-sparse iteration."""
         networks = list(pinned_sweep_networks("pinned_markov_cluster.json"))
         assert len(networks) == 5
-        for want, g in networks:
+        for want, net in networks:
+            g = net.graph
             for expansion, membership in want["membership_sha256"].items():
                 got = markov_cluster(g, AlgoParams(mcl_expansion=int(expansion)))
                 assert digest(list(got.membership)) == membership, (want["cell"], expansion)
@@ -890,24 +899,40 @@ class TestInfomap:
             all_in_one = Partition([0] * g.node_count)
             assert description_length(g, got) <= description_length(g, all_in_one) + 1e-12
 
-    def test_annealed_membership_matches_pinned_digest(self):
-        """Pins the annealing pass, which no pinned records file runs: on
-        this network it changes the partition the local moves return."""
-        pin_file = Path(__file__).parent / "data" / "pinned_infomap_anneal.json"
-        pin = json.loads(pin_file.read_text())
-        g = generate(LfrConfig(**pin["lfr_config"])).graph
-        assert digest(g.edges) == pin["edges_sha256"]
-        got = infomap(g, AlgoParams(seed=pin["algo_seed"], infomap_anneal=True))
-        assert got != infomap(g, AlgoParams(seed=pin["algo_seed"]))
-        assert digest(list(got.membership)) == pin["membership_sha256"]
+    def test_description_length_matches_pinned_bits(self):
+        """float.hex values written by the per-node loop that summed module
+        strengths and exit weights, on the detect-large network and the four
+        n=1000 sweep-reduced networks: under the planted, all-in-one,
+        singleton and a seeded random partition, and on one quotient of each
+        network under a seeded partition."""
+        name = "pinned_description_length.json"
+        pin = json.loads((Path(__file__).parent / "data" / name).read_text())
+        networks = list(pinned_sweep_networks(name))
+        assert len(networks) == 5
 
-    def test_anneal_refinement_smoke(self, ring_of_triangles):
-        got = infomap(ring_of_triangles, AlgoParams(seed=3, infomap_anneal=True))
-        assert got.node_count == 12
-        base = infomap(ring_of_triangles, AlgoParams(seed=3))
-        assert description_length(ring_of_triangles, got) <= description_length(
-            ring_of_triangles, base
-        ) + 1e-9
+        def seeded(rng, count, size):
+            return Partition.from_labels([rng.randrange(count) for _ in range(size)])
+
+        def lengths(graph, parts):
+            return {key: description_length(graph, p).hex() for key, p in parts.items()}
+
+        for want, net in networks:
+            rng = random.Random(pin["partition_seed"])
+            n = net.graph.node_count
+            parts = {
+                "planted": net.planted,
+                "all_in_one": Partition([0] * n),
+                "singletons": Partition(list(range(n))),
+                "random": seeded(rng, pin["random_communities"], n),
+            }
+            q = quotient_graph(net.graph, seeded(rng, pin["quotient_communities"], n))
+            q_parts = {
+                "singletons": Partition(list(range(q.node_count))),
+                "random": seeded(rng, pin["quotient_random_communities"], q.node_count),
+            }
+            assert lengths(net.graph, parts) == want["description_length"], want["cell"]
+            assert q.node_count == want["quotient"]["node_count"]
+            assert lengths(q, q_parts) == want["quotient"]["description_length"], want["cell"]
 
 
 class RecordingRng:

@@ -157,19 +157,24 @@ class TestDetectCommand:
         ]
         expected = {}
         for f in dataclasses.fields(AlgoParams):
-            flag = "--" + f.name.replace("_", "-")
-            if isinstance(f.default, bool):
-                expected[f.name] = not f.default
-                argv.append(flag)
-            else:  # changed values that `validate` still accepts
-                value = f.default + 1 if isinstance(f.default, int) else f.default * 0.9
-                expected[f.name] = type(f.default)(value)
-                argv += [flag, str(expected[f.name])]
+            # changed values that `validate` still accepts
+            value = f.default + 1 if isinstance(f.default, int) else f.default * 0.9
+            expected[f.name] = type(f.default)(value)
+            argv += ["--" + f.name.replace("_", "-"), str(expected[f.name])]
         assert main(argv) == 0
         (params,) = seen
         assert params == AlgoParams(**expected)
         for name, value in expected.items():
             assert type(getattr(params, name)) is type(value), name
+
+    def test_infomap_anneal_flag_is_gone(self, generated, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "detect", "--edges", f"{generated}.edges", "--node-count", "120",
+                "--algorithm", "infomap", "--infomap-anneal", "--out", str(tmp_path / "p"),
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --infomap-anneal" in capsys.readouterr().err
 
 
 class TestScoreCommand:
@@ -314,6 +319,17 @@ class TestErrorLine:
         records.write_text(f"{header}\n{self.ROW}\n{self.ROW}\n{bad_row}\n")
         argv = ["report", "--records", str(records), "--out", str(tmp_path / "rep")]
         self.check(argv, "records.csv line 4, column 'nmi': 'zero' is not a valid float", capsys)
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_sweep_with_fewer_than_one_worker(self, tmp_path, capsys, workers):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"node_counts": [60], "avg_degrees": [5], "mu_grid": [0.2, 0.2, 0.1]}')
+        argv = [
+            "sweep", "--spec", str(spec_path), "--workers", workers,
+            "--out", str(tmp_path / "sweep"),
+        ]
+        self.check(argv, f"workers must be >= 1, got {workers}", capsys)
+        assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("spec, key", [
         ('{"replicates": null}', "replicates"),

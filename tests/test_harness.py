@@ -23,6 +23,8 @@ from commbench.harness import (
 )
 from commbench.metrics import partition_nmi
 
+PROFILES = Path(__file__).parents[1] / "profiles"
+
 SMALL_SPEC = SweepSpec(
     node_counts=(60,),
     avg_degrees=(6,),
@@ -61,6 +63,21 @@ class TestSweepSpec:
     def test_mu_values_exact(self):
         spec = SweepSpec(mu_grid=(0.1, 0.8, 0.1))
         assert spec.mu_values() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+
+    @pytest.mark.parametrize("profile, mu_values", [
+        ("check.json", [0.1, 0.4, 0.7]),
+        ("reduced.json", [i / 20 for i in range(1, 20)]),
+        ("table1.json", [i / 20 for i in range(1, 20)]),
+    ])
+    def test_profile_mu_grids_expand_to_stop(self, profile, mu_values):
+        assert SweepSpec.from_file(PROFILES / profile).mu_values() == mu_values
+
+    @pytest.mark.parametrize("mu_grid, mu_values", [
+        ((0.5, 0.95, 0.3), [0.5, 0.8]),
+        ((0.1, 0.3, 0.25), [0.1]),
+    ])
+    def test_uneven_mu_grid_stays_below_stop(self, mu_grid, mu_values):
+        assert SweepSpec(mu_grid=mu_grid).mu_values() == mu_values
 
     def test_cells_cardinality(self):
         spec = SweepSpec(
@@ -425,9 +442,8 @@ class TestPinnedRecords:
 
     DATA = Path(__file__).parent / "data"
 
-    def check(self, tmp_path, name, records, **grid):
-        spec = SweepSpec(gammas=(2.0,), betas=(2.0,), replicates=1, master_seed=7, **grid)
-        outcome = run_sweep(spec)
+    def check(self, tmp_path, name, records, spec, workers=1):
+        outcome = run_sweep(spec, workers=workers)
         records_path, _ = emit_csv(outcome.records, summarize(outcome.records), tmp_path)
         lines = records_path.read_text().splitlines()
         drop = lines[0].split(",").index("runtime_ms")
@@ -435,16 +451,23 @@ class TestPinnedRecords:
         assert len(got) == 1 + records
         assert got == (self.DATA / name).read_text().splitlines()
 
+    @staticmethod
+    def grid(**cells):
+        return SweepSpec(gammas=(2.0,), betas=(2.0,), replicates=1, master_seed=7, **cells)
+
     def test_records_match_pinned_file(self, tmp_path):
-        self.check(
-            tmp_path, "pinned_records.csv", 54,
-            node_counts=(100,), avg_degrees=(5.0, 15.0), mu_grid=(0.1, 0.7, 0.3),
-        )
+        spec = self.grid(node_counts=(100,), avg_degrees=(5.0, 15.0), mu_grid=(0.1, 0.7, 0.3))
+        self.check(tmp_path, "pinned_records.csv", 54, spec)
 
     def test_n1000_records_match_pinned_file(self, tmp_path):
         """Large enough that the merge engine's heap rebuild fires in
         fastgreedy and walktrap."""
-        self.check(
-            tmp_path, "pinned_records_n1000.csv", 9,
-            node_counts=(1000,), avg_degrees=(15.0,), mu_grid=(0.4, 0.4, 0.1),
-        )
+        spec = self.grid(node_counts=(1000,), avg_degrees=(15.0,), mu_grid=(0.4, 0.4, 0.1))
+        self.check(tmp_path, "pinned_records_n1000.csv", 9, spec)
+
+    @pytest.mark.acceptance
+    def test_check_profile_matches_pinned_file(self, tmp_path):
+        """The whole `profiles/check.json` grid at two workers, the check a
+        change meant to keep results the same must pass."""
+        spec = SweepSpec.from_file(PROFILES / "check.json")
+        self.check(tmp_path, "pinned_check_records.csv", 648, spec, workers=2)
