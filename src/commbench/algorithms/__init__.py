@@ -41,11 +41,14 @@ class AlgoParams:
     lp_max_rounds: int = 100
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         for name, least in (
             ("walktrap_t", 1), ("eigen_max_iterations", 1), ("spinglass_max_spins", 1),
             ("sa_sweeps_per_temperature", 1), ("lp_max_rounds", 1),
-            ("mcl_max_iterations", 1), ("mcl_expansion", 2),
+            ("mcl_max_iterations", 1), ("mcl_expansion", 2), ("seed", 0),
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

@@ -114,7 +114,6 @@ def infomap(graph: Graph, params) -> Partition:
     always a candidate, so the result never describes the walk worse than
     no partition at all."""
     _require_edges(graph)
-    params.validate()
     rng = np.random.default_rng(params.seed)
     member = _aggregate_levels(graph, _map_gain, 1e-13, rng)
     result = Partition.from_labels(member)

@@ -260,7 +260,6 @@ def spinglass(graph: Graph, params) -> Partition:
     random stream and every result are those of `rng.randrange(k)`.
     """
     _require_edges(graph)
-    params.validate()
     rng = random.Random(params.seed)
     getrandbits = rng.getrandbits
     n = graph.node_count

@@ -33,7 +33,6 @@ def label_propagation(graph: Graph, params) -> Partition:
     neighborhood) or after lp_max_rounds, in which case a
     ConvergenceWarning is emitted and the current labels are returned.
     """
-    params.validate()
     n = graph.node_count
     rng = random.Random(params.seed)
     adj = graph.row_view[0]

@@ -46,7 +46,6 @@ def walktrap(graph: Graph, params) -> Partition:
     tie-break number in neighbour order, and a re-keyed entry keeps it.
     """
     _require_edges(graph)
-    params.validate()
     rng = random.Random(params.seed)
     n = graph.node_count
     deg = np.asarray(graph.degrees(), dtype=float)
@@ -219,7 +218,6 @@ def markov_cluster(graph: Graph, params) -> Partition:
     default prune threshold, above the epsilon, every iteration that
     changes the entry count takes this path.
     """
-    params.validate()
     n = graph.node_count
     matrix = graph.adjacency() + sp.identity(n, format="csr")
     matrix = _column_normalize(matrix)

@@ -28,7 +28,6 @@ def leading_eigenvector(graph: Graph, params) -> Partition:
     indivisible groups (non-positive leading eigenvalue, non-positive
     modularity gain, or non-converged eigensolver) become communities."""
     _require_edges(graph)
-    params.validate()
     rng = np.random.default_rng(params.seed)
     n = graph.node_count
     two_m = 2.0 * graph.edge_count

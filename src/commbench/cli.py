@@ -128,7 +128,6 @@ def _cmd_generate(args):
 def _cmd_detect(args):
     graph = read_edge_list(args.edges, node_count=args.node_count)
     params = _from_flags(AlgoParams, args)
-    params.validate()  # radetal, fastgreedy and louvain do not validate their own
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("default")
@@ -182,6 +181,7 @@ def _cmd_sweep(args):
 
 def _cmd_report(args):
     records = parse_records_csv(args.records)
+    summaries = summarize(records)  # refuses a file without rows before anything is written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = correlation_table(records)
@@ -191,7 +191,6 @@ def _cmd_report(args):
         lines.append(f"{name}\t{rendered}")
     (out / "correlations.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    summaries = summarize(records)
     slice_kwargs = {name: getattr(args, name) for name in _PLOT_SLICES}
     if args.figure1:
         path = emit_plot_data(summaries, "figure1", out / "figure1.dat", **slice_kwargs)

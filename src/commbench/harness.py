@@ -76,7 +76,18 @@ class SweepSpec:
     master_seed: int = 0
     output_dir: str | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
+        for name in ("node_counts", "avg_degrees", "gammas", "betas", "algorithms"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
+        if len(self.mu_grid) != 3:
+            raise ValueError(f"mu_grid must be (start, stop, step), got {self.mu_grid}")
         start, stop, step = self.mu_grid
         if not (0.0 < start <= stop < 1.0 and step > 0):
             raise ValueError(f"mu grid must stay within (0,1), got {self.mu_grid}")
@@ -113,61 +124,48 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
-        """Read a spec from JSON or flat key-value text ("key = v1,v2")."""
-        text = Path(path).read_text()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            raw = json.loads(text)
-        else:
-            raw = {}
-            for line in text.splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                raw[key.strip()] = [v.strip() for v in value.split(",") if v.strip()]
-        kwargs = {}
-        for name, hint in typing.get_type_hints(cls).items():
-            if name not in raw:
-                continue
-            # tuple[int, ...] -> int, str | None -> str, int -> int
-            kind = (typing.get_args(hint) or (hint,))[0]
-            try:
-                if raw[name] is None and type(None) in typing.get_args(hint):
-                    kwargs[name] = None
-                elif typing.get_origin(hint) is tuple:
-                    kwargs[name] = tuple(_spec_value(kind, v) for v in _aslist(raw[name]))
-                else:
-                    kwargs[name] = _spec_value(kind, _asscalar(raw[name]))
-            except (TypeError, ValueError) as err:
-                raise ValueError(f"sweep spec key {name!r}: {err}") from None
+        """Read a spec from a JSON object of field names and values; a list
+        for each tuple field, a single value for the others."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as err:
+            raise ValueError(f"sweep spec is not JSON: {err}") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"sweep spec must be a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown sweep spec keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for name, value in raw.items():
+            hint = hints[name]
+            # tuple[int, ...] -> int, str | None -> str, int -> int
+            kind = (typing.get_args(hint) or (hint,))[0]
+            try:
+                if value is None and type(None) in typing.get_args(hint):
+                    kwargs[name] = None
+                elif typing.get_origin(hint) is tuple:
+                    if not isinstance(value, list):
+                        raise ValueError(f"expected a list, got {value!r}")
+                    kwargs[name] = tuple(_spec_value(kind, v) for v in value)
+                else:
+                    kwargs[name] = _spec_value(kind, value)
+            except ValueError as err:
+                raise ValueError(f"sweep spec key {name!r}: {err}") from None
         return cls(**kwargs)
 
 
 def _spec_value(kind, value):
     """`value` as `kind`, refusing what the conversion would change without
-    a word: a bool, a float with a fraction where an int is expected, and
-    a non-string where a string is."""
-    if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
+    a word: anything but a number where a number is expected (bools
+    included), a float with a fraction where an int is, and a non-string
+    where a string is."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (isinstance(value, str) if kind is str else number):
         raise ValueError(f"expected {kind.__name__}, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return kind(value)
-
-
-def _aslist(value):
-    return value if isinstance(value, (list, tuple)) else [value]
-
-
-def _asscalar(value):
-    if isinstance(value, (list, tuple)):
-        if len(value) != 1:
-            raise ValueError(f"expected a single value, got {value}")
-        return value[0]
-    return value
 
 
 @functools.cache
@@ -262,11 +260,10 @@ def derive_seed(master_seed, cell_key, replicate) -> int:
 def _run_unit(args):
     spec, cell, replicate, artifact_dir = args
     seed = derive_seed(spec.master_seed, cell.key(), replicate)
-    config = LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            net = generate(config)
+            net = generate(LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True))
         except ValueError as exc:
             return SweepOutcome(records=[], skipped=[SkippedCell(cell.key(), replicate, str(exc))])
     base_flags = set()
@@ -323,7 +320,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1, artifact_dir=None) -> SweepOutc
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    spec.validate()
     units = [
         (spec, cell, replicate, artifact_dir)
         for cell in spec.cells()
@@ -372,36 +368,10 @@ def summarize(records) -> list:
     return out
 
 
-def _cell_parameter(summary, parameter):
-    if parameter == "mu":
-        return summary.mu_target
-    return getattr(summary, parameter)
-
-
-def correlate(records, parameter, algorithm=None) -> float:
-    """Pearson correlation between a sweep parameter and per-cell mean NMI,
-    pooled across the other parameters (optionally for one algorithm)."""
-    if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
-    summaries = summarize(records)
-    if algorithm is not None:
-        summaries = [s for s in summaries if s.algorithm == algorithm]
-    return _correlate_summaries(summaries, parameter, algorithm)
-
-
-def _correlate_summaries(summaries, parameter, algorithm):
-    if not summaries:
-        raise ValueError(f"no records for algorithm {algorithm!r}")
-    xs = [_cell_parameter(s, parameter) for s in summaries]
-    ys = [s.mean_nmi for s in summaries]
-    if len(set(xs)) < 2:
-        raise ValueError(f"parameter {parameter!r} does not vary across records")
-    return pearson(xs, ys)
-
-
 def correlation_table(records):
-    """{algorithm or 'overall' -> {parameter -> r or None}} over all
-    parameters that vary; equals `correlate` per entry, from one summary."""
+    """{algorithm or 'overall' -> {parameter -> r or None}}: the Pearson r
+    between each sweep parameter and per-cell mean NMI, pooled across the
+    other parameters; None where either side does not vary."""
     summaries = summarize(records) if records else []
     groups = {}
     for s in summaries:
@@ -410,13 +380,12 @@ def correlation_table(records):
     groups["overall"] = summaries
     table = {}
     for name, group in groups.items():
-        row = {}
+        ys = [s.mean_nmi for s in group]
+        row = table[name] = {}
         for parameter in SWEEP_PARAMETERS:
-            try:
-                row[parameter] = _correlate_summaries(group, parameter, name)
-            except ValueError:
-                row[parameter] = None
-        table[name] = row
+            xs = [getattr(s, "mu_target" if parameter == "mu" else parameter) for s in group]
+            varies = len(set(xs)) > 1 and len(set(ys)) > 1
+            row[parameter] = pearson(xs, ys) if varies else None
     return table
 
 
@@ -480,47 +449,36 @@ def emit_plot_data(summaries, mode, path, algorithm=None, n=None, avg_degree=Non
     """
     if mode not in ("figure1", "figure2"):
         raise ValueError(f"unknown plot mode {mode!r}")
+    if mode == "figure2" and algorithm is None:
+        raise ValueError("figure2 needs an algorithm")
     pool = list(summaries)
     n = _resolve_slice(pool, "n", n)
     gamma = _resolve_slice(pool, "gamma", gamma)
     beta = _resolve_slice(pool, "beta", beta)
     pool = [s for s in pool if s.n == n and s.gamma == gamma and s.beta == beta]
-
     if mode == "figure1":
         avg_degree = _resolve_slice(pool, "avg_degree", avg_degree)
         pool = [s for s in pool if s.avg_degree == avg_degree]
-        if not pool:
-            raise ValueError("summaries do not cover the requested figure1 slice")
-        algos = sorted({s.algorithm for s in pool})
-        mus = sorted({s.mu_target for s in pool})
-        grid = {(s.mu_target, s.algorithm): s for s in pool}
-        lines = ["# mu " + " ".join(algos) + " mu_lim"]
-        for mu in mus:
-            row = [f"{mu:g}"]
-            limits = []
-            for algo in algos:
-                s = grid.get((mu, algo))
-                row.append(f"{s.mean_nmi:.6g}" if s else "nan")
-                if s:
-                    limits.append(s.mean_mu_limit)
-            row.append(f"{sum(limits) / len(limits):.6g}" if limits else "nan")
-            lines.append(" ".join(row))
+        series, label = "algorithm", str
     else:
-        if algorithm is None:
-            raise ValueError("figure2 needs an algorithm")
         pool = [s for s in pool if s.algorithm == algorithm]
-        if not pool:
-            raise ValueError("summaries do not cover the requested figure2 slice")
-        degrees = sorted({s.avg_degree for s in pool})
-        mus = sorted({s.mu_target for s in pool})
-        grid = {(s.mu_target, s.avg_degree): s for s in pool}
-        lines = ["# mu " + " ".join(f"k{d:g}" for d in degrees)]
-        for mu in mus:
-            row = [f"{mu:g}"]
-            for d in degrees:
-                s = grid.get((mu, d))
-                row.append(f"{s.mean_nmi:.6g}" if s else "nan")
-            lines.append(" ".join(row))
+        series, label = "avg_degree", lambda d: f"k{d:g}"
+    if not pool:
+        raise ValueError(f"summaries do not cover the requested {mode} slice")
+
+    columns = sorted({getattr(s, series) for s in pool})
+    grid = {(s.mu_target, getattr(s, series)): s for s in pool}
+    header = ["# mu", *map(label, columns)]
+    if mode == "figure1":
+        header.append("mu_lim")
+    lines = [" ".join(header)]
+    for mu in sorted({s.mu_target for s in pool}):
+        row = [grid.get((mu, c)) for c in columns]
+        text = [f"{mu:g}"] + [f"{s.mean_nmi:.6g}" if s else "nan" for s in row]
+        if mode == "figure1":
+            limits = [s.mean_mu_limit for s in row if s]
+            text.append(f"{sum(limits) / len(limits):.6g}")
+        lines.append(" ".join(text))
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -52,6 +52,9 @@ class LfrConfig:
     seed: int = 0
     allow_mu_beyond_limit: bool = False
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must be in (0,1), got {self.mu}")
@@ -79,6 +82,8 @@ class LfrConfig:
                 f"max_rewire_iterations must be >= 1 (or None for 50*m), "
                 f"got {self.max_rewire_iterations}"
             )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
     def with_resolved_bounds(self, k_min: int) -> "LfrConfig":
         """Fill in default community-size bounds given the realized minimum
@@ -155,7 +160,6 @@ def _discrete_powerlaw_cdf(lo, hi, exponent):
 def sample_powerlaw_degrees(config: LfrConfig, rng) -> list[int]:
     """Degree sequence of length n: discrete power law on [k_min, k_max]
     with an even sum, where k_min is chosen so the mean hits avg_degree."""
-    config.validate()
     k_cont = solve_min_degree(config.avg_degree, config.max_degree, config.gamma)
     # Snap to the integer support whose discrete mean is closest.
     candidates = sorted({max(1, math.floor(k_cont)), min(config.max_degree, math.ceil(k_cont))})
@@ -191,7 +195,6 @@ def sample_community_sizes(config: LfrConfig, rng) -> list[int]:
     """Community sizes in [min_community, max_community] from a discrete
     power law with exponent beta, summing exactly to n (draws are nudged
     minimally when needed to keep the remainder closeable)."""
-    config.validate()
     lo, hi = config.min_community, config.max_community
     if lo is None:
         raise ValueError("community bounds unresolved; call with_resolved_bounds first")
@@ -680,11 +683,9 @@ def _grow_largest(sizes, need, lo):
 
 def generate(config: LfrConfig) -> PlantedNetwork:
     """Run the full three-step generation. Deterministic given config.seed."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     degrees = sample_powerlaw_degrees(config, rng)
     resolved = config.with_resolved_bounds(min(degrees))
-    resolved.validate()
     sizes = sample_community_sizes(resolved, rng)
     # The bounds guarantee a large-enough community is *allowed* for each
     # node; make sure the drawn sizes can host all of them at once,

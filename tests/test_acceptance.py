@@ -129,16 +129,15 @@ def test_criterion_04_mixing_coefficient_dominance():
     """On the reduced grid, each of louvain/walktrap/infomap shows
     |r(NMI, mu)| > 0.5 while |r(NMI, gamma)| and |r(NMI, beta)| stay
     below 0.2."""
-    from commbench.harness import correlate
+    from commbench.harness import correlation_table
 
     outcome = run_sweep(REDUCED_GRID, workers=2)
     assert not outcome.skipped, outcome.skipped[:3]
+    table = correlation_table(outcome.records)
     details = []
     passed = True
     for algo in REDUCED_GRID.algorithms:
-        r_mu = correlate(outcome.records, "mu", algorithm=algo)
-        r_gamma = correlate(outcome.records, "gamma", algorithm=algo)
-        r_beta = correlate(outcome.records, "beta", algorithm=algo)
+        r_mu, r_gamma, r_beta = (table[algo][p] for p in ("mu", "gamma", "beta"))
         ok = abs(r_mu) > 0.5 and abs(r_gamma) < 0.2 and abs(r_beta) < 0.2
         passed = passed and ok
         details.append(f"{algo}: mu={r_mu:+.3f} gamma={r_gamma:+.3f} beta={r_beta:+.3f}")

@@ -257,6 +257,14 @@ class TestAlgoParams:
         with pytest.raises(ValueError, match=field):
             ALGORITHMS[name](two_five_cliques, AlgoParams(**{field: value}))
 
+    def test_seed_must_be_a_non_negative_int(self):
+        assert AlgoParams(seed=0).seed == 0
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            AlgoParams(seed=-1)
+        for value in (1.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match="^seed must be an int, not "):
+                AlgoParams(seed=value)
+
 
 class TestRadetal:
     def test_disjoint_cliques(self, two_five_cliques):

@@ -53,19 +53,28 @@ class TestGenerateCommand:
         monkeypatch.setattr(cli, "generate", record)
         return seen
 
+    # A value `validate` accepts for every non-bool LfrConfig field, none a
+    # default; the floats have a fraction an int flag would reject.
+    FLAG_VALUES = dict(
+        n=130, avg_degree=6.5, max_degree=19, gamma=2.75, beta=1.25, mu=0.35,
+        min_community=12, max_community=40, mixing_tolerance=0.03,
+        max_rewire_iterations=5000, seed=9,
+    )
+
     def test_every_lfr_field_has_a_typed_flag(self, seen, tmp_path):
         hints = typing.get_type_hints(LfrConfig)
         argv = ["generate", "--out", str(tmp_path / "net")]
         expected = {}
-        for i, f in enumerate(dataclasses.fields(LfrConfig)):
+        for f in dataclasses.fields(LfrConfig):
             flag = "--" + f.name.replace("_", "-")
             if hints[f.name] is bool:
                 expected[f.name] = not f.default
                 argv.append(flag)
             else:
-                # int | None -> int; floats get a fraction an int flag rejects
+                # int | None -> int
                 kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
-                expected[f.name] = i + 2 if kind is int else i + 0.25
+                expected[f.name] = self.FLAG_VALUES[f.name]
+                assert type(expected[f.name]) is kind, f.name
                 argv += [flag, str(expected[f.name])]
         assert main(argv) == 0
         (config,) = seen
@@ -141,6 +150,17 @@ class TestDetectCommand:
         ])
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["infomap", "louvain", "leading_eigenvector"])
+    def test_negative_seed_exits_with_message(self, generated, tmp_path, capsys, algorithm):
+        out = tmp_path / "bad.membership"
+        rc = main([
+            "detect", "--edges", f"{generated}.edges", "--node-count", "120",
+            "--algorithm", algorithm, "--seed", "-1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not out.exists()
 
     def test_every_algo_param_has_a_typed_flag(self, generated, tmp_path, monkeypatch):
@@ -250,6 +270,16 @@ class TestSweepAndReport:
         assert rc == 0
         assert not (out_dir / "runs").exists()
 
+    def test_report_on_records_without_rows_writes_nothing(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text(",".join(harness.RECORD_COLUMNS) + "\n")
+        report_dir = tmp_path / "report"
+        report_dir.mkdir()
+        rc = main(["report", "--records", str(records), "--out", str(report_dir), "--figure1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no records to summarize\n"
+        assert not list(report_dir.iterdir())
+
     def test_missing_output_dir_fails(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"node_counts": [60]}')
@@ -275,6 +305,7 @@ class TestErrorLine:
             (["--mu", "1.5"], "mu must be in (0,1)"),
             (["--mu", "0.1", "--max-rewire-iterations", "0"],
              "max_rewire_iterations must be >= 1"),
+            (["--mu", "0.1", "--seed", "-1"], "seed must be a non-negative int, got -1"),
         ],
     )
     def test_generate(self, tmp_path, capsys, flags, message):
@@ -343,6 +374,33 @@ class TestErrorLine:
         spec_path.write_text(spec)
         argv = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "sweep")]
         self.check(argv, f"sweep spec key '{key}': ", capsys)
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("", "sweep spec is not JSON: "),
+        ("# node_counts = 60\n", "sweep spec is not JSON: "),
+        ("node_counts = 60\n", "sweep spec is not JSON: "),
+        ('[{"node_counts": [60]}]', "sweep spec must be a JSON object, got list"),
+    ], ids=["empty", "comment-only", "key-value", "array"])
+    def test_sweep_with_spec_that_is_not_a_json_object(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "spec.txt"
+        spec_path.write_text(spec)
+        argv = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "sweep")]
+        self.check(argv, message, capsys)
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ('{"node_counts": []}', "node_counts must not be empty"),
+        ('{"algorithms": []}', "algorithms must not be empty"),
+        ('{"node_counts": [60, 60]}', "node_counts repeats a value: (60, 60)"),
+        ('{"algorithms": ["louvain", "louvain"]}', "algorithms repeats a value: "),
+        ('{"mu_grid": [0.1, 0.5]}', "mu_grid must be (start, stop, step), got (0.1, 0.5)"),
+    ])
+    def test_sweep_with_empty_or_repeated_grid_values(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec)
+        argv = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "sweep")]
+        self.check(argv, message, capsys)
         assert not (tmp_path / "sweep").exists()
 
     def test_sweep_with_unknown_spec_key(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,6 @@ from commbench.harness import (
     CellSummary,
     RunRecord,
     SweepSpec,
-    correlate,
     correlation_table,
     derive_seed,
     emit_csv,
@@ -24,6 +25,7 @@ from commbench.harness import (
 from commbench.metrics import partition_nmi
 
 PROFILES = Path(__file__).parents[1] / "profiles"
+DATA = Path(__file__).parent / "data"
 
 SMALL_SPEC = SweepSpec(
     node_counts=(60,),
@@ -92,11 +94,36 @@ class TestSweepSpec:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithms"):
-            SweepSpec(algorithms=("girvan_newman",)).validate()
+            SweepSpec(algorithms=("girvan_newman",))
 
     def test_mu_grid_bounds_checked(self):
         with pytest.raises(ValueError, match="mu grid"):
-            SweepSpec(mu_grid=(0.0, 0.9, 0.1)).validate()
+            SweepSpec(mu_grid=(0.0, 0.9, 0.1))
+
+    @pytest.mark.parametrize("key", ["node_counts", "avg_degrees", "gammas", "betas", "algorithms"])
+    def test_empty_grid_values_rejected(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must not be empty$"):
+            SweepSpec(**{key: ()})
+
+    @pytest.mark.parametrize("key, values", [
+        ("node_counts", (60, 60)),
+        ("avg_degrees", (5, 5.0)),
+        ("gammas", (2.0, 3.0, 2.0)),
+        ("betas", (1.0, 1.0)),
+        ("algorithms", ("louvain", "louvain")),
+    ])
+    def test_repeated_grid_values_rejected(self, key, values):
+        with pytest.raises(ValueError, match=f"^{key} repeats a value: "):
+            SweepSpec(**{key: values})
+
+    @pytest.mark.parametrize("mu_grid", [(0.1, 0.5), (0.1,), (0.1, 0.5, 0.1, 0.2)])
+    def test_mu_grid_needs_three_values(self, mu_grid):
+        with pytest.raises(ValueError, match=r"^mu_grid must be \(start, stop, step\)"):
+            SweepSpec(mu_grid=mu_grid)
+
+    def test_replaced_spec_is_checked(self):
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            dataclasses.replace(SweepSpec(), replicates=0)
 
     # Every SweepSpec field, with its parsed value; ints and floats are
     # written so that a wrong conversion shows in the type or the value.
@@ -136,16 +163,19 @@ class TestSweepSpec:
         ('{"node_counts": [[100]]}', "node_counts"),
         ('{"replicates": {"a": 1}}', "replicates"),
         ('{"avg_degrees": [5, "fifteen"]}', "avg_degrees"),
-        ("replicates = 2, 3", "replicates"),
+        ('{"replicates": [2, 3]}', "replicates"),
         ('{"replicates": 2.5}', "replicates"),
         ('{"master_seed": true}', "master_seed"),
         ('{"avg_degrees": [5, true]}', "avg_degrees"),
         ('{"algorithms": ["louvain", 1]}', "algorithms"),
         ('{"output_dir": 5}', "output_dir"),
-        ("replicates = 2.5", "replicates"),
+        ('{"replicates": [3]}', "replicates"),
+        ('{"replicates": "3"}', "replicates"),
+        ('{"node_counts": 100}', "node_counts"),
+        ('{"node_counts": "100"}', "node_counts"),
     ])
     def test_value_of_wrong_type_names_its_key(self, tmp_path, text, key):
-        path = tmp_path / "spec.txt"
+        path = tmp_path / "spec.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^sweep spec key '{key}': "):
             SweepSpec.from_file(path)
@@ -157,26 +187,28 @@ class TestSweepSpec:
         assert spec.output_dir is None
         assert spec.replicates == 3 and type(spec.replicates) is int
 
-    def test_from_key_value_file(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "", "\n", "# comment\n", "replicates = 3\n", "{replicates: 3}", '{"replicates": 3',
+    ])
+    def test_text_that_is_not_json_rejected(self, tmp_path, text):
         path = tmp_path / "spec.txt"
-        path.write_text(
-            "# comment\n"
-            "node_counts = 100, 1000\n"
-            "avg_degrees = 5, 15.5\n"
-            "max_degree_factor = 2.5\n"
-            "gammas = 2, 3\n"
-            "betas = 1, 2\n"
-            "mu_grid = 0.1, 0.3, 0.1\n"
-            "replicates = 3\n"
-            "algorithms = louvain, walktrap\n"
-            "master_seed = 5\n"
-            "output_dir = out/sweep\n"
-        )
-        self.assert_every_field(SweepSpec.from_file(path))
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^sweep spec is not JSON: "):
+            SweepSpec.from_file(path)
+
+    @pytest.mark.parametrize("text, kind", [
+        ("[]", "list"), ('[{"replicates": 3}]', "list"), ("3", "int"), ('"x"', "str"),
+        ("null", "NoneType"),
+    ])
+    def test_json_that_is_not_an_object_rejected(self, tmp_path, text, kind):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^sweep spec must be a JSON object, got {kind}$"):
+            SweepSpec.from_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "spec.txt"
-        path.write_text("replicas = 5\n")
+        path = tmp_path / "spec.json"
+        path.write_text('{"replicas": 5}')
         with pytest.raises(ValueError, match="unknown sweep spec keys"):
             SweepSpec.from_file(path)
 
@@ -256,6 +288,20 @@ class TestRunSweep:
         assert len(outcome.skipped) == 2
         assert "unreachable" in outcome.skipped[0].reason
 
+    def test_invalid_cells_become_diagnostics(self):
+        # kmax = min(3 * 15, n - 1) = 9 < avg_degree: LfrConfig refuses the cell.
+        spec = SweepSpec(
+            node_counts=(10, 60), avg_degrees=(15,), gammas=(3.0,), betas=(2.0,),
+            mu_grid=(0.2, 0.2, 0.1), replicates=2, algorithms=("louvain",),
+        )
+        outcome = run_sweep(spec)
+        assert len(outcome.records) == 2
+        assert {r.n for r in outcome.records} == {60}
+        assert [(s.replicate, s.reason) for s in outcome.skipped] == [
+            (rep, "need 1 <= avg_degree <= max_degree <= n-1, got avg=15.0, max=9, n=10")
+            for rep in (0, 1)
+        ]
+
     def test_artifacts_allow_nmi_recomputation(self, tmp_path):
         outcome = run_sweep(SMALL_SPEC, artifact_dir=tmp_path)
         for record in outcome.records:
@@ -299,6 +345,28 @@ class TestSummarize:
             summarize([])
 
 
+def oracle_table(records):
+    """Pearson r of each parameter against per-cell mean NMI, from the
+    standard library: `statistics.fmean` over each cell's records and
+    `statistics.correlation`; None where a side is constant."""
+    cells = {}
+    for r in records:
+        cell = (r.algorithm, r.n, r.avg_degree, r.gamma, r.beta, r.mu_target)
+        cells.setdefault(cell, []).append(r.nmi)
+    means = {cell: statistics.fmean(nmis) for cell, nmis in cells.items()}
+    table = {}
+    for name in sorted({cell[0] for cell in means}) + ["overall"]:
+        group = [(c, m) for c, m in means.items() if name in ("overall", c[0])]
+        table[name] = {}
+        for i, parameter in enumerate(("n", "avg_degree", "gamma", "beta", "mu"), start=1):
+            try:
+                r = statistics.correlation([c[i] for c, _ in group], [m for _, m in group])
+            except statistics.StatisticsError:  # a constant side
+                r = None
+            table[name][parameter] = r
+    return table
+
+
 class TestCorrelate:
     def test_perfect_anticorrelation_with_mu(self):
         records = [
@@ -306,12 +374,16 @@ class TestCorrelate:
             for mu in (0.1, 0.2, 0.3, 0.4)
             for r in range(2)
         ]
-        assert correlate(records, "mu") == pytest.approx(-1.0)
+        assert correlation_table(records)["overall"]["mu"] == pytest.approx(-1.0)
 
-    def test_constant_parameter_errors(self):
+    def test_constant_parameter_is_none(self):
         records = [make_record(mu_target=m, nmi=1 - m) for m in (0.1, 0.2)]
-        with pytest.raises(ValueError, match="does not vary"):
-            correlate(records, "beta")
+        assert correlation_table(records)["overall"]["beta"] is None
+
+    @pytest.mark.parametrize("nmi", [0.1, 0.7, 1.0])
+    def test_constant_nmi_is_none(self, nmi):
+        records = [make_record(mu_target=m, nmi=nmi) for m in (0.1, 0.2, 0.3)]
+        assert correlation_table(records)["overall"] == dict.fromkeys(SWEEP_PARAMETERS)
 
     def test_per_algorithm_filter(self):
         records = [
@@ -319,8 +391,9 @@ class TestCorrelate:
         ] + [
             make_record(algorithm="walktrap", mu_target=m, nmi=m) for m in (0.1, 0.2, 0.3)
         ]
-        assert correlate(records, "mu", algorithm="louvain") == pytest.approx(-1.0)
-        assert correlate(records, "mu", algorithm="walktrap") == pytest.approx(1.0)
+        table = correlation_table(records)
+        assert table["louvain"]["mu"] == pytest.approx(-1.0)
+        assert table["walktrap"]["mu"] == pytest.approx(1.0)
 
     def test_table_has_overall_row(self):
         records = [make_record(mu_target=m, nmi=1 - m) for m in (0.1, 0.2, 0.3)]
@@ -329,30 +402,44 @@ class TestCorrelate:
         assert table["overall"]["mu"] == pytest.approx(-1.0)
         assert table["overall"]["beta"] is None
 
-    def test_table_equals_per_pair_correlate(self):
-        records = [
-            make_record(algorithm="louvain", n=n, mu_target=mu, nmi=1 - mu - n / 1e4, replicate=r)
-            for n in (100, 1000)
-            for mu in (0.1, 0.3, 0.5)
-            for r in range(2)
-        ] + [
-            make_record(algorithm="walktrap", mu_target=mu, nmi=nmi)
-            for mu, nmi in ((0.1, 0.7), (0.3, 0.9), (0.5, 0.2))
-        ]
+    def check_against_oracle(self, records):
         table = correlation_table(records)
-        assert list(table) == ["louvain", "walktrap", "overall"]
-        assert table["walktrap"]["n"] is None
-        assert table["louvain"]["n"] is not None
+        expected = oracle_table(records)
+        assert list(table) == list(expected)
         for name, row in table.items():
             assert tuple(row) == SWEEP_PARAMETERS
             for parameter, r in row.items():
-                try:
-                    expected = correlate(
-                        records, parameter, algorithm=None if name == "overall" else name
-                    )
-                except ValueError:
-                    expected = None
-                assert r == expected, (name, parameter)
+                want = expected[name][parameter]
+                assert (r is None) == (want is None), (name, parameter)
+                if r is not None:
+                    assert r == pytest.approx(want, abs=1e-6), (name, parameter)
+
+    def test_table_matches_statistics_oracle(self):
+        records = [
+            make_record(
+                algorithm="louvain", n=n, mu_target=mu, replicate=r,
+                nmi=round(1 - mu - n / 1e4 + 0.01 * r * mu, 6),
+            )
+            for n in (100, 1000)
+            for mu in (0.1, 0.3, 0.5)
+            for r in range(3)
+        ] + [
+            make_record(algorithm="walktrap", mu_target=mu, nmi=nmi)
+            for mu, nmi in ((0.1, 0.7), (0.3, 0.9), (0.5, 0.2))
+        ] + [
+            make_record(algorithm="infomap", mu_target=mu, n=n, nmi=1.0)
+            for n in (100, 1000)
+            for mu in (0.1, 0.3)
+        ]
+        table = correlation_table(records)
+        assert list(table) == ["infomap", "louvain", "walktrap", "overall"]
+        assert table["walktrap"]["n"] is None
+        assert table["infomap"]["mu"] is None
+        assert table["louvain"]["n"] is not None
+        self.check_against_oracle(records)
+
+    def test_check_grid_matches_statistics_oracle(self, tmp_path):
+        self.check_against_oracle(pinned_check_records(tmp_path))
 
 
 class TestEmitCsv:
@@ -471,3 +558,53 @@ class TestPinnedRecords:
         change meant to keep results the same must pass."""
         spec = SweepSpec.from_file(PROFILES / "check.json")
         self.check(tmp_path, "pinned_check_records.csv", 648, spec, workers=2)
+
+
+def pinned_check_records(tmp_path):
+    """The records of `pinned_check_records.csv`, read back through
+    `parse_records_csv` with a fixed runtime_ms put in the column the pin
+    cut out."""
+    rows = [line.split(",") for line in (DATA / "pinned_check_records.csv").read_text().splitlines()]
+    at = RECORD_COLUMNS.index("runtime_ms")
+    for row, value in zip(rows, ["runtime_ms"] + ["1"] * len(rows)):
+        row.insert(at, value)
+    path = tmp_path / "records.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return parse_records_csv(path)
+
+
+def report_pin(records, out_dir):
+    """The report path's outputs on `records`: every r of
+    `correlation_table` as `float.hex` (None stays None), the figure1 text
+    of every (n, avg_degree, gamma, beta) slice, and the figure2 text of
+    walktrap, louvain and infomap at every (n, gamma, beta)."""
+    table = {
+        name: {p: None if r is None else r.hex() for p, r in row.items()}
+        for name, row in correlation_table(records).items()
+    }
+    summaries = summarize(records)
+    slices = sorted({(s.n, s.avg_degree, s.gamma, s.beta) for s in summaries})
+    path = out_dir / "plot.dat"
+    figure1 = {
+        f"n={n},avg_degree={k:g},gamma={g:g},beta={b:g}": emit_plot_data(
+            summaries, "figure1", path, n=n, avg_degree=k, gamma=g, beta=b
+        ).read_text()
+        for n, k, g, b in slices
+    }
+    figure2 = {
+        f"{algo},n={n},gamma={g:g},beta={b:g}": emit_plot_data(
+            summaries, "figure2", path, algorithm=algo, n=n, gamma=g, beta=b
+        ).read_text()
+        for algo in ("walktrap", "louvain", "infomap")
+        for n, g, b in sorted({(n, g, b) for n, _, g, b in slices})
+    }
+    return {"correlation_table": table, "figure1": figure1, "figure2": figure2}
+
+
+class TestPinnedReport:
+    """The correlation table and plot data of the check grid's pinned
+    records match a checked-in file exactly."""
+
+    def test_report_matches_pinned_file(self, tmp_path):
+        got = report_pin(pinned_check_records(tmp_path), tmp_path)
+        assert json.dumps(got, indent=1) + "\n" == (DATA / "pinned_report.json").read_text()

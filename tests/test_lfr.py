@@ -610,13 +610,22 @@ class TestRewireMatchesScalarOracle:
 class TestConfigValidation:
     @pytest.mark.parametrize("iterations", [0, -5])
     def test_rewire_budget_below_one_rejected(self, iterations):
-        config = LfrConfig(
-            n=300, avg_degree=10, max_degree=30, gamma=3.0, beta=2.0, mu=0.3,
-            max_rewire_iterations=iterations,
-        )
+        fields = dict(n=300, avg_degree=10, max_degree=30, gamma=3.0, beta=2.0, mu=0.3)
         with pytest.raises(ValueError, match="max_rewire_iterations must be >= 1"):
-            generate(config)
-        dataclasses.replace(config, max_rewire_iterations=1).validate()
+            LfrConfig(**fields, max_rewire_iterations=iterations)
+        LfrConfig(**fields, max_rewire_iterations=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        fields = dict(n=300, avg_degree=10, max_degree=30, gamma=3.0, beta=2.0, mu=0.3)
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative int, got {seed!r}$"):
+            LfrConfig(**fields, seed=seed)
+        assert LfrConfig(**fields, seed=0).seed == 0
+
+    def test_replaced_config_is_checked(self):
+        config = LfrConfig(n=300, avg_degree=10, max_degree=30, gamma=3.0, beta=2.0, mu=0.3)
+        with pytest.raises(ValueError, match="mu must be in"):
+            dataclasses.replace(config, mu=1.0)
 
 
 class TestGenerate:
