@@ -82,9 +82,14 @@ class Graph:
     @property
     def edges(self):
         """Edges as sorted (u, v) pairs with u < v."""
+        return list(zip(*node_lists(self.node_count, *self.edge_ends())))
+
+    def edge_ends(self):
+        """(us, vs): the two ends of each edge as integer arrays, in the
+        order of `edges`."""
         rows = self.rows()
         upper = rows < self.indices
-        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+        return rows[upper], self.indices[upper]
 
     def rows(self):
         """The row (source node) of each entry of `indices`."""
@@ -115,7 +120,7 @@ class Graph:
         if self._row_view is None:
             bounds = self.indptr.tolist()
             spans = list(zip(bounds, bounds[1:]))
-            flat = (self.indices.tolist(), self.weights.tolist())
+            flat = (*node_lists(self.node_count, self.indices), self.weights.tolist())
             self._row_view = tuple(tuple(tuple(f[a:b]) for a, b in spans) for f in flat)
         return self._row_view
 
@@ -138,6 +143,14 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.node_count}, m={self.edge_count})"
+
+
+def node_lists(node_count, *ids):
+    """Each integer array in `ids` as a list of Python ints drawn from one
+    table of node_count int objects, so the lists hold pointers to shared
+    objects rather than an int object per entry."""
+    table = np.arange(node_count).astype(object)
+    return [table[x].tolist() for x in ids]
 
 
 class Partition:
@@ -270,9 +283,19 @@ def read_edge_list(path, node_count=None):
     return Graph(node_count, edges)
 
 
-def write_edge_list(graph, path):
+def _write_pairs(path, count, firsts, seconds):
+    """Write one "first second" line per pair of ids below `count`, joining
+    one shared string per id."""
+    names = list(map(str, range(count)))
+    pairs = zip(map(names.__getitem__, firsts), map(names.__getitem__, seconds))
+    text = "\n".join(map(" ".join, pairs))
     with open(path, "w") as fh:
-        fh.write("".join(f"{u} {v}\n" for u, v in graph.edges))
+        fh.write(text + "\n" if text else "")
+
+
+def write_edge_list(graph, path):
+    us, vs = graph.edge_ends()
+    _write_pairs(path, graph.node_count, us.tolist(), vs.tolist())
 
 
 def read_membership(path):
@@ -305,5 +328,5 @@ def read_membership(path):
 
 
 def write_membership(partition, path):
-    with open(path, "w") as fh:
-        fh.write("".join(f"{v} {cid}\n" for v, cid in enumerate(partition.membership)))
+    n = partition.node_count
+    _write_pairs(path, n, range(n), partition.membership)

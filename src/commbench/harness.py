@@ -84,8 +84,12 @@ class SweepSpec:
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must not be empty")
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} repeats a value: {values}")
+            if name in ("avg_degrees", "gammas", "betas") and not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {values}")
+            # As Cell.key shows them: values equal to 6 significant digits
+            # would share a cell key, and so a seed and a summary row.
+            if len(set(map(_fmt, values))) != len(values):
+                raise ValueError(f"{name} repeats a value: {values} (cell keys show 6 digits)")
         if len(self.mu_grid) != 3:
             raise ValueError(f"mu_grid must be (start, stop, step), got {self.mu_grid}")
         start, stop, step = self.mu_grid
@@ -96,8 +100,11 @@ class SweepSpec:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}; known: {sorted(ALGORITHMS)}")
-        if self.max_degree_factor <= 0:
-            raise ValueError("max_degree_factor must be positive")
+        factor = self.max_degree_factor
+        if not 0 < factor < math.inf:
+            raise ValueError(f"max_degree_factor must be positive and finite, got {factor}")
+        if not math.isfinite(factor * max(map(abs, self.avg_degrees))):
+            raise ValueError("max_degree_factor times an avg_degrees value overflows")
 
     def mu_values(self):
         """start, start + step, ... up to stop. The 1e-9 absorbs the rounding
@@ -165,7 +172,10 @@ def _spec_value(kind, value):
         raise ValueError(f"expected {kind.__name__}, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"expected {kind.__name__}, got an integer too large for it") from None
 
 
 @functools.cache

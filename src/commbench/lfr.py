@@ -20,7 +20,7 @@ from operator import length_hint
 
 import numpy as np
 
-from .graph import Graph, Partition
+from .graph import Graph, Partition, node_lists
 from .metrics import measured_mixing
 
 
@@ -392,11 +392,14 @@ def _buffered_below(rng):
     generator first, and each draw applies numpy's Lemire step to them.
     One `itertools.chain.from_iterable` over the blocks hands out the
     words, so a read runs Python code only when a block is used up and
-    the next one is drawn.
+    the next one is drawn. `below.word()` reads the next word itself, for
+    a loop that applies the step inline: `m = word() * k`, then
+    `_lemire_redraw` when m's low word falls below k; for k == 2 the
+    threshold is 0, so `word() >> 31` is `below(2)`.
     k == 1 returns 0 without a word, as numpy does. On exit `rng` is put
     back in its state from before the last block and draws again only the
     words of it that were used, so it ends where the scalar draws would
-    have left it.
+    have left it, whichever of `below` and `word` read them.
     """
     block = [None, iter(())]  # rng's state before the block, its unread words
 
@@ -413,17 +416,26 @@ def _buffered_below(rng):
             return 0
         m = word() * k
         if m & 0xFFFFFFFF < k:
-            threshold = ((1 << 32) - k) % k
-            while m & 0xFFFFFFFF < threshold:
-                m = word() * k
+            m = _lemire_redraw(m, k, word)
         return m >> 32
 
+    below.word = word
     try:
         yield below
     finally:
         if block[0] is not None:
             rng.bit_generator.state = block[0]
             rng.integers(0, 1 << 32, size=4096 - length_hint(block[1]), dtype=np.uint32)
+
+
+def _lemire_redraw(m, k, word):
+    """The rare end of numpy's Lemire step for `m = word() * k` whose low
+    word is below k: draw again while the low word is below 2**32 mod k.
+    The draw is `m >> 32` of the product returned."""
+    threshold = ((1 << 32) - k) % k
+    while m & 0xFFFFFFFF < threshold:
+        m = word() * k
+    return m
 
 
 def _rewiring_lists(graph, member, num_communities, inv_deg):
@@ -437,9 +449,7 @@ def _rewiring_lists(graph, member, num_communities, inv_deg):
     second endpoint's community; and the sum over inter edges (u, v) of
     inv_deg[u] + inv_deg[v].
     """
-    rows = graph.rows()
-    upper = rows < graph.indices
-    us, vs = rows[upper], graph.indices[upper]
+    us, vs = graph.edge_ends()
     m = len(us)
     member = np.asarray(member)
     cu, cv = member[us], member[vs]
@@ -475,7 +485,13 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
 
     Picks are drawn with `_buffered_below`: the swaps, the result and the
     state `rng` is left in are those of one scalar `int(rng.integers(k))`
-    per pick.
+    per pick. The loop applies the Lemire step to `below.word()` inline,
+    with the same words and the same redraws, and reads each coin as
+    `word() >> 31`, which is `below(2)`.
+
+    Edge e is kept as its two ends, eu[e] < ev[e], and the edge set as the
+    keys u * n + v, one key per (u, v) pair, so the membership tests and
+    the swaps are those of a set of (u, v) tuples.
 
     The swap loop has one branch per direction, and each knows the classes
     of the edges it drops and adds. That is why it skips checks, and why
@@ -520,37 +536,49 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
     inter_idx, intra_idx, pos, by_comm, cpos, ratio_sum = _rewiring_lists(
         graph, member, planted.num_communities, inv_deg
     )
-    # Built after the helper has freed its arrays, which keeps them from
-    # raising the peak memory.
-    edges = graph.edges
-    edge_set = set(edges)
-
     current_gap = abs(ratio_sum / active - target)
     if current_gap <= tol:
         return graph
+
+    # Built after the helper has freed its arrays, which keeps them from
+    # raising the peak memory.
+    us, vs = graph.edge_ends()
+    keys = set((us * n + vs).tolist())
+    eu, ev = node_lists(n, us, vs)
+    del us, vs
 
     budget = 50 * m if config.max_rewire_iterations is None else config.max_rewire_iterations
     # Drive the gap well inside the tolerance band rather than stopping at
     # its edge; the budget is checked against the full tolerance below.
     inner_tol = 0.25 * tol
     with _buffered_below(rng) as below:
+        word = below.word
         for _ in range(budget):
             if ratio_sum / active < target:
                 # Break two intra edges of different communities into two
                 # inter edges.
-                if len(intra_idx) < 2:
+                k = len(intra_idx)
+                if k < 2:
                     break
-                i = intra_idx[below(len(intra_idx))]
-                j = intra_idx[below(len(intra_idx))]
-                a, b = edges[i]
-                c, d = edges[j]
+                x = word() * k
+                if x & 0xFFFFFFFF < k:
+                    x = _lemire_redraw(x, k, word)
+                i = intra_idx[x >> 32]
+                x = word() * k
+                if x & 0xFFFFFFFF < k:
+                    x = _lemire_redraw(x, k, word)
+                j = intra_idx[x >> 32]
+                a, b = eu[i], ev[i]
+                c, d = eu[j], ev[j]
                 if member[a] == member[c]:
                     continue
-                if below(2):
+                if word() >> 31:
                     c, d = d, c
-                new1 = (a, c) if a < c else (c, a)
-                new2 = (b, d) if b < d else (d, b)
-                if new1 in edge_set or new2 in edge_set:
+                p, q = (a, c) if a < c else (c, a)
+                r, t = (b, d) if b < d else (d, b)
+                new1 = p * n + q
+                new2 = r * n + t
+                if new1 in keys or new2 in keys:
                     continue
                 delta = (inv_deg[a] + inv_deg[c]) + (inv_deg[b] + inv_deg[d])
                 new_gap = abs((ratio_sum + delta) / active - target)
@@ -562,7 +590,7 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                     if last != e:
                         intra_idx[slot] = last
                         pos[last] = slot
-                for e, (u, v) in ((i, new1), (j, new2)):
+                for e, u, v in ((i, p, q), (j, r, t)):
                     pos[e] = len(inter_idx)
                     inter_idx.append(e)
                     lst = by_comm[member[u]]
@@ -574,25 +602,35 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
             else:
                 # Pair an inter edge with another inter edge touching the same
                 # community, closing one intra edge there.
-                if len(inter_idx) < 2:
+                k = len(inter_idx)
+                if k < 2:
                     break
-                i = inter_idx[below(len(inter_idx))]
-                a, b = edges[i]
-                if below(2):
+                x = word() * k
+                if x & 0xFFFFFFFF < k:
+                    x = _lemire_redraw(x, k, word)
+                i = inter_idx[x >> 32]
+                a, b = eu[i], ev[i]
+                if word() >> 31:
                     a, b = b, a
                 focus = member[a]
                 pool = by_comm[focus]
-                if len(pool) < 2:
+                k = len(pool)
+                if k < 2:
                     continue
-                j = pool[below(len(pool))]
-                c, d = edges[j]
+                x = word() * k
+                if x & 0xFFFFFFFF < k:
+                    x = _lemire_redraw(x, k, word)
+                j = pool[x >> 32]
+                c, d = eu[j], ev[j]
                 if member[c] != focus:
                     c, d = d, c
                 if a == c or b == d:
                     continue
-                new1 = (a, c) if a < c else (c, a)
-                new2 = (b, d) if b < d else (d, b)
-                if new1 in edge_set or new2 in edge_set:
+                p, q = (a, c) if a < c else (c, a)
+                r, t = (b, d) if b < d else (d, b)
+                new1 = p * n + q
+                new2 = r * n + t
+                if new1 in keys or new2 in keys:
                     continue
                 delta = -(inv_deg[a] + inv_deg[b]) - (inv_deg[c] + inv_deg[d])
                 new2_inter = member[b] != member[d]
@@ -607,43 +645,41 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                     if last != e:
                         inter_idx[slot] = last
                         pos[last] = slot
-                    u, v = edges[e]
-                    cid = member[u]
+                    cid = member[eu[e]]
                     lst = by_comm[cid]
                     slot = cpos[2 * e]
                     last = lst.pop()
                     if last != e:
                         lst[slot] = last
                         # The moved edge is inter, so exactly one end is in cid.
-                        cpos[2 * last + (member[edges[last][0]] != cid)] = slot
-                    cid = member[v]
+                        cpos[2 * last + (member[eu[last]] != cid)] = slot
+                    cid = member[ev[e]]
                     lst = by_comm[cid]
                     slot = cpos[2 * e + 1]
                     last = lst.pop()
                     if last != e:
                         lst[slot] = last
-                        cpos[2 * last + (member[edges[last][0]] != cid)] = slot
+                        cpos[2 * last + (member[eu[last]] != cid)] = slot
                 pos[i] = len(intra_idx)
                 intra_idx.append(i)
                 if new2_inter:
-                    u, v = new2
                     pos[j] = len(inter_idx)
                     inter_idx.append(j)
-                    lst = by_comm[member[u]]
+                    lst = by_comm[member[r]]
                     cpos[2 * j] = len(lst)
                     lst.append(j)
-                    lst = by_comm[member[v]]
+                    lst = by_comm[member[t]]
                     cpos[2 * j + 1] = len(lst)
                     lst.append(j)
                 else:
                     pos[j] = len(intra_idx)
                     intra_idx.append(j)
-            edge_set.discard(edges[i])
-            edge_set.discard(edges[j])
-            edges[i] = new1
-            edges[j] = new2
-            edge_set.add(new1)
-            edge_set.add(new2)
+            keys.discard(eu[i] * n + ev[i])
+            keys.discard(eu[j] * n + ev[j])
+            eu[i], ev[i] = p, q
+            eu[j], ev[j] = r, t
+            keys.add(new1)
+            keys.add(new2)
             ratio_sum += delta
             current_gap = new_gap
             if current_gap <= inner_tol:
@@ -655,8 +691,7 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
                 f"(target {target})"
             )
         )
-    flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * m)
-    result = Graph(n, flat.reshape(m, 2))
+    result = Graph(n, np.array([eu, ev], dtype=np.int64).T)
     assert result.degrees() == deg
     return result
 

@@ -1097,6 +1097,45 @@ class TestLabelPropagation:
         with pytest.warns(ConvergenceWarning, match=r"round cap \(1\)"):
             label_propagation(g, AlgoParams(seed=0, lp_max_rounds=1))
 
+    def test_pinned_memberships(self, generate_large_networks):
+        """Memberships and warning texts reproduce checked-in digests: the
+        four generate-large networks at the default round cap, and the four
+        n=1000 sweep-reduced networks at caps 1, 2 and 100, each with the
+        seed the sweep derives for it."""
+        pin = json.loads((Path(__file__).parent / "data" / "pinned_label_propagation.json").read_text())
+
+        def run(graph, params):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = label_propagation(graph, params)
+            membership = hashlib.sha256(json.dumps(list(got.membership)).encode()).hexdigest()
+            return membership, [str(w.message) for w in caught]
+
+        large = pin["generate_large"]
+        assert list(large["networks"]) == list(generate_large_networks)
+        for key, want in large["networks"].items():
+            seed = derive_seed(large["master_seed"], f"{key}|label_propagation", pin["replicate"])
+            assert seed == want["seed"]
+            got = run(generate_large_networks[key].graph, AlgoParams(seed=seed))
+            assert got == (want["membership_sha256"], want["warnings"]), key
+        reduced = pin["sweep_reduced"]
+        master = reduced["master_seed"]
+        spec = SweepSpec(
+            node_counts=(1000,), avg_degrees=(5.0, 15.0), gammas=(2.0,), betas=(2.0,),
+            mu_grid=(0.4, 0.7, 0.3), replicates=1, master_seed=master,
+        )
+        assert [cell.key() for cell in spec.cells()] == list(reduced["networks"])
+        for cell in spec.cells():
+            key = cell.key()
+            want = reduced["networks"][key]
+            seed = derive_seed(master, key, pin["replicate"])
+            graph = generate(LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True)).graph
+            seed = derive_seed(master, f"{key}|label_propagation", pin["replicate"])
+            assert seed == want["seed"]
+            for cap, expected in want["lp_max_rounds"].items():
+                got = run(graph, AlgoParams(seed=seed, lp_max_rounds=int(cap)))
+                assert got == (expected["membership_sha256"], expected["warnings"]), (key, cap)
+
 
 class TestCrossCutting:
     def test_every_algorithm_covers_all_nodes(self, bridged_five_cliques):

@@ -395,8 +395,23 @@ class TestErrorLine:
         ('{"node_counts": [60, 60]}', "node_counts repeats a value: (60, 60)"),
         ('{"algorithms": ["louvain", "louvain"]}', "algorithms repeats a value: "),
         ('{"mu_grid": [0.1, 0.5]}', "mu_grid must be (start, stop, step), got (0.1, 0.5)"),
+        # Small enough that a missed refusal runs a short sweep and fails.
+        ('{"node_counts": [60], "avg_degrees": [6, 6.0000001], "replicates": 1, '
+         '"algorithms": ["louvain"]}', "avg_degrees repeats a value: (6.0, 6.0000001)"),
     ])
     def test_sweep_with_empty_or_repeated_grid_values(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec)
+        argv = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "sweep")]
+        self.check(argv, message, capsys)
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ('{"max_degree_factor": 1e999}', "max_degree_factor must be positive and finite, got inf"),
+        ('{"max_degree_factor": NaN}', "max_degree_factor must be positive and finite, got nan"),
+        ('{"max_degree_factor": 1' + "0" * 400 + "}", "sweep spec key 'max_degree_factor': "),
+    ], ids=["inf", "nan", "huge-int"])
+    def test_sweep_with_spec_number_a_float_cannot_hold(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec)
         argv = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "sweep")]

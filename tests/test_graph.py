@@ -255,6 +255,13 @@ class TestAgainstNetworkx:
             assert wts[v] == (1.0,) * g.degree(v)
         assert g.row_view is g.row_view
 
+    def test_rows_and_edges_share_one_int_per_node(self, pair):
+        g, _ = pair
+        nbrs, _ = g.row_view
+        ends = [u for edge in g.edges for u in edge]
+        for ids in ([u for row in nbrs for u in row], ends):
+            assert len({id(u) for u in ids}) == len(set(ids))
+
     def test_connected_components(self, pair):
         nx = pytest.importorskip("networkx")
         g, _ = pair
@@ -354,6 +361,25 @@ class TestIO:
                 fh.write(f"{v} {cid}\n")
         for got, want in (("g.edges", "want.edges"), ("p.membership", "want.membership")):
             assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
+
+    def test_writers_match_joined_f_strings(self, tmp_path):
+        # Four-digit ids and isolated trailing nodes, whose names the
+        # membership file still needs.
+        net = generate(LfrConfig(n=1500, avg_degree=10, max_degree=30, gamma=3.0, beta=2.0,
+                                 mu=0.4, seed=9))
+        graph = Graph(1600, net.graph.edges)
+        planted = Partition(list(net.planted.membership) + list(range(100)))
+        write_edge_list(graph, tmp_path / "g.edges")
+        write_membership(planted, tmp_path / "p.membership")
+        want_edges = "".join(f"{u} {v}\n" for u, v in graph.edges)
+        want_member = "".join(f"{v} {cid}\n" for v, cid in enumerate(planted.membership))
+        assert (tmp_path / "g.edges").read_text() == want_edges
+        assert (tmp_path / "p.membership").read_text() == want_member
+
+    def test_edgeless_graph_writes_empty_file(self, tmp_path):
+        path = tmp_path / "g.edges"
+        write_edge_list(Graph(3, []), path)
+        assert path.read_bytes() == b""
 
     def test_membership_round_trip(self, tmp_path):
         part = Partition([0, 1, 1, 0, 2])

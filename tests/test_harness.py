@@ -116,6 +116,36 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"^{key} repeats a value: "):
             SweepSpec(**{key: values})
 
+    @pytest.mark.parametrize("key, values", [
+        ("avg_degrees", (6.0, 6.0000001)),
+        ("gammas", (2.0, 3.0, 2.0000004)),
+        ("betas", (1.5, 1.4999999)),
+    ])
+    def test_grid_values_that_share_a_cell_key_rejected(self, key, values):
+        # Both values render alike in Cell.key, so they would share a seed
+        # and a summary row.
+        shown = {f"{v:g}" for v in values}
+        assert len(shown) < len(values)
+        with pytest.raises(ValueError, match=f"^{key} repeats a value: "):
+            SweepSpec(**{key: values})
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_degree_factor", float("inf")),
+        ("max_degree_factor", float("nan")),
+        ("max_degree_factor", -1.0),
+        ("avg_degrees", (5.0, float("inf"))),
+        ("avg_degrees", (float("nan"),)),
+        ("gammas", (float("-inf"),)),
+        ("betas", (2.0, float("nan"))),
+    ])
+    def test_non_finite_numbers_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            SweepSpec(**{key: value})
+
+    def test_max_degree_that_overflows_rejected(self):
+        with pytest.raises(ValueError, match="^max_degree_factor times an avg_degrees value overflows"):
+            SweepSpec(avg_degrees=(15.0, 1e308), max_degree_factor=3.0)
+
     @pytest.mark.parametrize("mu_grid", [(0.1, 0.5), (0.1,), (0.1, 0.5, 0.1, 0.2)])
     def test_mu_grid_needs_three_values(self, mu_grid):
         with pytest.raises(ValueError, match=r"^mu_grid must be \(start, stop, step\)"):
@@ -179,6 +209,22 @@ class TestSweepSpec:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^sweep spec key '{key}': "):
             SweepSpec.from_file(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"max_degree_factor": 1e999}', "max_degree_factor must be positive and finite, got inf"),
+        ('{"max_degree_factor": NaN}', "max_degree_factor must be positive and finite, got nan"),
+        ('{"max_degree_factor": 1' + "0" * 400 + "}",
+         "sweep spec key 'max_degree_factor': expected float, got an integer too large for it"),
+        ('{"avg_degrees": [5, 1' + "0" * 400 + "]}",
+         "sweep spec key 'avg_degrees': expected float, got an integer too large for it"),
+        ('{"gammas": [2, Infinity]}', "gammas must be finite, got (2.0, inf)"),
+    ], ids=["inf", "nan", "huge-int", "huge-int-in-list", "infinity"])
+    def test_numbers_a_float_cannot_hold_rejected(self, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            SweepSpec.from_file(path)
+        assert str(err.value) == message
 
     def test_json_null_on_optional_field_is_none(self, tmp_path):
         path = tmp_path / "spec.json"

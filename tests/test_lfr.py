@@ -11,7 +11,7 @@ import pytest
 from commbench import lfr
 from commbench.algorithms import AlgoParams, louvain
 from commbench.graph import Graph, Partition
-from commbench.harness import Cell, derive_seed
+from commbench.harness import derive_seed
 from commbench.lfr import (
     LfrConfig,
     MixingToleranceWarning,
@@ -672,7 +672,7 @@ class TestGenerate:
                 < net.planted.community_sizes[cid]
             )
 
-    def test_pinned_n5000_network(self):
+    def test_pinned_n5000_network(self, generate_large_networks):
         """The four generate-large sweep units (n=5000, mu 0.1 to 0.7, master
         seed 1010) reproduce checked-in digests of their edge lists and
         planted memberships."""
@@ -682,20 +682,11 @@ class TestGenerate:
         def digest(values):
             return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
-        assert len(pin["networks"]) == 4
+        assert (pin["master_seed"], pin["replicate"]) == (1010, 0)
+        assert list(pin["networks"]) == list(generate_large_networks)
         for key, want in pin["networks"].items():
-            mu = float(key.rsplit("mu=", 1)[1])
-            cell = Cell(n=5000, avg_degree=30.0, max_degree=90, gamma=3.0, beta=2.0, mu=mu)
-            assert cell.key() == key
-            seed = derive_seed(pin["master_seed"], key, pin["replicate"])
-            assert seed == want["seed"]
-            net = generate(
-                LfrConfig(
-                    n=cell.n, avg_degree=cell.avg_degree, max_degree=cell.max_degree,
-                    gamma=cell.gamma, beta=cell.beta, mu=cell.mu, seed=seed,
-                    allow_mu_beyond_limit=True,
-                )
-            )
+            net = generate_large_networks[key]
+            assert net.seed_used == want["seed"] == derive_seed(1010, key, 0)
             assert digest(net.graph.edges) == want["edges_sha256"], key
             assert digest(list(net.planted.membership)) == want["membership_sha256"], key
 
