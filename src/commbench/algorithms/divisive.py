@@ -131,7 +131,7 @@ def radetal(graph: Graph) -> Partition:
     n = graph.node_count
     m = graph.edge_count
     four_m2 = 4.0 * m * m
-    adj = graph.row_view[0]
+    adj = graph.row_view
     deg = graph.degrees()
 
     start = connected_components(graph)

@@ -27,21 +27,21 @@ class _Agglomeration:
     choose which pair to merge next.
 
     A community is named by one of its nodes, and a pair lo < hi by
-    lo * n + hi, which ends each heap entry, so entries of distinct pairs
-    are distinct and tie in (lo, hi) order. `current` maps each live
-    adjacent pair to its latest entry; any other entry is stale and is
-    dropped when popped. A current entry's key may sit below its pair's
-    exact one, never above it, so the first current entry that is exact
-    when popped is the smallest exact entry of any live pair, and the
-    merge order is the one eager re-scoring of every pair would give. An
-    instance runs once.
+    lo * n + hi. A heap entry is (key, pair), so entries of distinct
+    pairs are distinct and equal keys tie in (lo, hi) order. `current`
+    maps each live adjacent pair to its latest entry; any other entry is
+    stale and is dropped when popped. A current entry's key may sit below
+    its pair's exact one, never above it, so the first current entry that
+    is exact when popped is the smallest exact entry of any live pair, and
+    the merge order is the one eager re-scoring of every pair would give.
+    An instance runs once.
     """
 
     def __init__(self, graph):
         self.m = graph.edge_count
         self.two_m2 = 2.0 * self.m * self.m
         #: community -> {adjacent community: summed edge weight}
-        self.links = [dict.fromkeys(row, 1.0) for row in graph.row_view[0]]
+        self.links = [dict.fromkeys(row, 1.0) for row in graph.row_view]
         self.degree = [float(d) for d in graph.degrees()]
 
     def delta_q(self, a, b):
@@ -49,20 +49,20 @@ class _Agglomeration:
         return self.links[a][b] / self.m - self.degree[a] * self.degree[b] / self.two_m2
 
     def run(self, heap, score, exact, merged) -> Partition:
-        """Merge pairs from `heap`, one entry per adjacent pair, each at or
-        below its pair's exact key. A popped current entry goes to
-        exact(entry), which returns None if its key is exact, and the pair
-        is merged, or else the entry with its exact key, which replaces
+        """Merge pairs from `heap`, one (key, pair) entry per adjacent pair,
+        each key at or below its pair's exact one. A popped current entry
+        goes to exact(key, pair), which returns None if the key is exact,
+        and the pair is merged, or else the exact key, whose entry replaces
         it. The community with more neighbours survives a merge; then
         merged(survivor, absorbed, absorbed's former neighbours) returns
-        the survivor's neighbours x to re-score, and score(survivor, x)
-        plus the pair's key is pushed for each, in their order. Every
-        pair it leaves out must keep its entry at or below its exact key.
+        the survivor's neighbours x to re-score, and the key score(survivor,
+        x) is pushed for each, in their order. Every pair it leaves out
+        must keep its entry at or below its exact key.
         Returns the level of maximal modularity, later levels winning
         ties."""
         n = len(self.links)
         links, degree = self.links, self.degree
-        current = {entry[-1]: entry for entry in heap}
+        current = {entry[1]: entry for entry in heap}
         q = -sum(d * d for d in degree) / (4.0 * self.m * self.m)
         best_q = q
         merges = []
@@ -70,14 +70,14 @@ class _Agglomeration:
         heapq.heapify(heap)
         while heap:
             entry = heap[0]
-            pair = entry[-1]
+            key, pair = entry
             if current.get(pair) is not entry:
                 heapq.heappop(heap)
                 continue
-            rekeyed = exact(entry)
-            if rekeyed is not None:
-                current[pair] = rekeyed
-                heapq.heapreplace(heap, rekeyed)
+            key = exact(key, pair)
+            if key is not None:
+                current[pair] = entry = (key, pair)
+                heapq.heapreplace(heap, entry)
                 continue
             heapq.heappop(heap)
             del current[pair]
@@ -102,7 +102,7 @@ class _Agglomeration:
                 best_merges = len(merges)
             for nbr in merged(a, b, wb):
                 pair = a * n + nbr if a < nbr else nbr * n + a
-                current[pair] = entry = score(a, nbr) + (pair,)
+                current[pair] = entry = (score(a, nbr), pair)
                 heapq.heappush(heap, entry)
             if len(heap) > 4 * len(current) + _REBUILD_SLACK:
                 heap = list(current.values())
@@ -139,12 +139,12 @@ def fastgreedy(graph: Graph) -> Partition:
     delta_q = agg.delta_q
     n = graph.node_count
 
-    def exact(entry):
-        key = -delta_q(*divmod(entry[-1], n))
-        return None if key == entry[0] else (key, entry[-1])
+    def exact(key, pair):
+        now = -delta_q(*divmod(pair, n))
+        return None if now == key else now
 
     heap = [(-delta_q(u, v), u * n + v) for u, v in graph.edges]
-    return agg.run(heap, lambda a, x: (-delta_q(a, x),), exact, lambda a, b, absorbed: absorbed)
+    return agg.run(heap, lambda a, x: -delta_q(a, x), exact, lambda a, b, absorbed: absorbed)
 
 
 def _local_moves(graph, rng, objective, tol):
@@ -159,8 +159,10 @@ def _local_moves(graph, rng, objective, tol):
     tie with staying never moves; ties among strictly better candidates
     break uniformly, one draw per tie."""
     n = graph.node_count
-    nbrs, wts = graph.row_view
-    unit = bool((graph.weights == 1.0).all())
+    nbrs = graph.row_view
+    # None on unit-weight levels; else v's weights are wts[bounds[v]:bounds[v + 1]].
+    wts = None if (graph.weights == 1.0).all() else graph.weights.tolist()
+    bounds = graph.indptr.tolist()
     leave, join = objective(graph)
     comm = list(range(n))
     moved_any = False
@@ -169,12 +171,12 @@ def _local_moves(graph, rng, objective, tol):
         for v in rng.permutation(n).tolist():
             cur = comm[v]
             links = {}
-            if unit:  # input graphs: no (node, weight) pairs to unpack in the costliest loop
+            if wts is None:  # input graphs: no weight to read in the costliest loop
                 for u in nbrs[v]:
                     c = comm[u]
                     links[c] = links.get(c, 0.0) + 1.0
             else:
-                for u, wt in zip(nbrs[v], wts[v]):
+                for u, wt in zip(nbrs[v], wts[bounds[v]:bounds[v + 1]]):
                     c = comm[u]
                     links[c] = links.get(c, 0.0) + wt
             e_cur = links.pop(cur, 0.0)
@@ -265,7 +267,7 @@ def spinglass(graph: Graph, params) -> Partition:
     n = graph.node_count
     m = graph.edge_count
     q_spins = min(params.spinglass_max_spins, n)
-    adj = graph.row_view[0]
+    adj = graph.row_view
     deg = graph.degrees()
     n_bits, q_bits = n.bit_length(), q_spins.bit_length()
     deg_bits = [k.bit_length() for k in deg]

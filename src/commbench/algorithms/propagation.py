@@ -26,7 +26,7 @@ def label_propagation(graph: Graph, params) -> Partition:
     """
     n = graph.node_count
     rng = random.Random(params.seed)
-    adj = graph.row_view[0]
+    adj = graph.row_view
     labels = list(range(n))
     order = list(range(n))
     ties = [None] * n

@@ -5,7 +5,6 @@ expansion/inflation diffusion process.
 from __future__ import annotations
 
 import math
-import random
 import warnings
 
 import numpy as np
@@ -42,11 +41,10 @@ def walktrap(graph: Graph, params) -> Partition:
     nearly always reaches the heap top before its pair changes, so that
     sigma is computed at once. Either way it comes from the same two mean
     rows as it would right after the merge, so every sigma, and so every
-    merge, is the one eager scoring gives. Each score call draws one
-    tie-break number in neighbour order, and a re-keyed entry keeps it.
+    merge, is the one eager scoring gives. Pairs of equal sigma merge in
+    (lo, hi) order of their representatives, so no seed is read.
     """
     _require_edges(graph)
-    rng = random.Random(params.seed)
     n = graph.node_count
     deg = np.asarray(graph.degrees(), dtype=float)
     inv_d = np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
@@ -71,7 +69,7 @@ def walktrap(graph: Graph, params) -> Partition:
     for u, v in graph.edges:
         sig = direct_sigma(mean[u], mean[v], 1, 1)
         sigma[u * n + v] = sig
-        heap.append((sig, rng.random(), u * n + v))
+        heap.append((sig, u * n + v))
     # The latest merge: (absorbed, size_a, size_b, sigma_ab, and a's and
     # b's mean rows before it, for the Ward update's loose inputs).
     last = None
@@ -116,16 +114,15 @@ def walktrap(graph: Graph, params) -> Partition:
                 loose.discard(ax)
                 s_new = direct_sigma(mean[a], mean[x], size[a], size_x)
         sigma[ax] = s_new
-        return s_new, rng.random()
+        return s_new
 
-    def exact(entry):
-        pair = entry[-1]
+    def exact(key, pair):
         if pair not in loose:
             return None
         loose.remove(pair)
         lo, hi = divmod(pair, n)
         sigma[pair] = sig = direct_sigma(mean[lo], mean[hi], size[lo], size[hi])
-        return (sig,) + entry[1:]
+        return sig
 
     return agg.run(heap, score, exact, merged)
 

@@ -114,14 +114,12 @@ class Graph:
 
     @property
     def row_view(self):
-        """(neighbours, weights): per node, a tuple of its adjacent nodes in
-        increasing id order and a parallel tuple of the edge weights. Built
-        on first access and cached."""
+        """Per node, a tuple of its adjacent nodes in increasing id order
+        (no weights); built on first access and cached."""
         if self._row_view is None:
             bounds = self.indptr.tolist()
-            spans = list(zip(bounds, bounds[1:]))
-            flat = (*node_lists(self.node_count, self.indices), self.weights.tolist())
-            self._row_view = tuple(tuple(tuple(f[a:b]) for a, b in spans) for f in flat)
+            (flat,) = node_lists(self.node_count, self.indices)
+            self._row_view = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
         return self._row_view
 
     def strengths(self):

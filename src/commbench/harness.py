@@ -80,8 +80,16 @@ class SweepSpec:
         self.validate()
 
     def validate(self):
-        for name in ("node_counts", "avg_degrees", "gammas", "betas", "algorithms"):
-            values = getattr(self, name)
+        if len(self.mu_grid) != 3:
+            raise ValueError(f"mu_grid must be (start, stop, step), got {self.mu_grid}")
+        start, stop, step = self.mu_grid
+        if not (0.0 < start <= stop < 1.0 and step > 0):
+            raise ValueError(f"mu grid must stay within (0,1), got {self.mu_grid}")
+        # Refused before mu_values lists it: table1.json takes 18 steps.
+        if (stop - start) / step >= 10_000:
+            raise ValueError(f"mu_grid takes more than 10000 steps: {self.mu_grid}")
+        for name in ("node_counts", "avg_degrees", "gammas", "betas", "algorithms", "mu_grid"):
+            values = self.mu_values() if name == "mu_grid" else getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must not be empty")
             if name in ("avg_degrees", "gammas", "betas") and not all(map(math.isfinite, values)):
@@ -90,11 +98,6 @@ class SweepSpec:
             # would share a cell key, and so a seed and a summary row.
             if len(set(map(_fmt, values))) != len(values):
                 raise ValueError(f"{name} repeats a value: {values} (cell keys show 6 digits)")
-        if len(self.mu_grid) != 3:
-            raise ValueError(f"mu_grid must be (start, stop, step), got {self.mu_grid}")
-        start, stop, step = self.mu_grid
-        if not (0.0 < start <= stop < 1.0 and step > 0):
-            raise ValueError(f"mu grid must stay within (0,1), got {self.mu_grid}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]

@@ -230,6 +230,17 @@ class TestSingletonQuotient:
         assert modularity(q, singletons) == pytest.approx(modularity(g, part), abs=1e-12)
 
 
+class TestRowView:
+    def test_unit_weight_view_holds_no_weight_objects(self):
+        # The weights stay in the CSR array; the view holds node tuples
+        # whose entries are the node ints alone.
+        g = lfr_graph(1)
+        view = g.row_view
+        assert {type(row) for row in view} == {tuple}
+        assert {type(u) for row in view for u in row} == {int}
+        assert sum(map(len, view)) == len(g.indices)
+
+
 class TestAgainstNetworkx:
     """Differential checks against networkx on LFR graphs."""
 
@@ -245,19 +256,18 @@ class TestAgainstNetworkx:
     def test_degrees_and_neighbors(self, pair):
         g, ref = pair
         assert g.edge_count == ref.number_of_edges()
-        nbrs, wts = g.row_view
-        assert len(nbrs) == len(wts) == g.node_count
+        nbrs = g.row_view
+        assert type(nbrs) is tuple and len(nbrs) == g.node_count
         for v in range(g.node_count):
             assert g.degree(v) == ref.degree(v)
             assert g.neighbors(v) == sorted(ref.neighbors(v))
-            assert type(nbrs[v]) is tuple and type(wts[v]) is tuple
+            assert type(nbrs[v]) is tuple
             assert list(nbrs[v]) == g.neighbors(v)
-            assert wts[v] == (1.0,) * g.degree(v)
         assert g.row_view is g.row_view
 
     def test_rows_and_edges_share_one_int_per_node(self, pair):
         g, _ = pair
-        nbrs, _ = g.row_view
+        nbrs = g.row_view
         ends = [u for edge in g.edges for u in edge]
         for ids in ([u for row in nbrs for u in row], ends):
             assert len({id(u) for u in ids}) == len(set(ids))
@@ -299,10 +309,11 @@ class TestAgainstNetworkx:
         for a, b in q.edges:
             row = q.neighbors(a)
             assert q.weights[q.indptr[a] + row.index(b)] == cross[(a, b)]
-        nbrs, wts = q.row_view
+        nbrs = q.row_view
         for a in range(q.node_count):
             assert list(nbrs[a]) == q.neighbors(a)
-            assert wts[a] == tuple(cross[(min(a, b), max(a, b))] for b in nbrs[a])
+            row = q.weights[q.indptr[a]:q.indptr[a + 1]].tolist()
+            assert row == [cross[(min(a, b), max(a, b))] for b in nbrs[a]]
 
 
 class TestPartition:

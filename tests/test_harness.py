@@ -129,6 +129,18 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"^{key} repeats a value: "):
             SweepSpec(**{key: values})
 
+    @pytest.mark.parametrize("mu_grid", [(0.1, 0.1000002, 1e-7), (0.9, 0.9000012, 4e-7)])
+    def test_mu_values_that_share_a_cell_key_rejected(self, mu_grid):
+        # Each grid lists at least two values that Cell.key renders alike.
+        with pytest.raises(ValueError, match=r"^mu_grid repeats a value: "):
+            SweepSpec(node_counts=(60,), avg_degrees=(6.0,), mu_grid=mu_grid)
+
+    @pytest.mark.parametrize("step", [1e-12, 5e-324])
+    def test_mu_grid_too_fine_to_list_rejected(self, step):
+        # 9e11 values, or a step count that overflows to infinity.
+        with pytest.raises(ValueError, match=r"^mu_grid takes more than 10000 steps: "):
+            SweepSpec(mu_grid=(0.05, 0.95, step))
+
     @pytest.mark.parametrize("key, value", [
         ("max_degree_factor", float("inf")),
         ("max_degree_factor", float("nan")),

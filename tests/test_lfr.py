@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -450,13 +452,13 @@ def _ring_of_cliques(count, size):
     return Graph(count * size, edges), Partition(membership)
 
 
-def _rewire_both(graph, planted, config, state):
+def _rewire_both(graph, planted, config, state, make_rng=_from_state):
     """Run `rewire_to_mixing` and the scalar-draw oracle from the same
     generator state, check that both leave the generator in the same
     state, and return (edges, warning texts) of each."""
     out, states = [], []
     for rewire in (rewire_to_mixing, rewire_direct):
-        rng = _from_state(state)
+        rng = make_rng(state)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = rewire(graph, planted, config, rng)
@@ -607,6 +609,95 @@ class TestRewireMatchesScalarOracle:
         assert got_warn == want_warn
 
 
+class _CraftedWords:
+    """A stand-in for a numpy Generator that hands out a given list of
+    32-bit words. `integers(k)` applies numpy's scalar Lemire step to them,
+    and `integers(0, 2**32, size=s, dtype=np.uint32)` returns the next s
+    words, as numpy's full-range draw does. `bit_generator.state` is the
+    index of the next word."""
+
+    def __init__(self, words):
+        self.words = words
+        self.bit_generator = SimpleNamespace(state=0)
+
+    def _take(self, count):
+        start = self.bit_generator.state
+        self.bit_generator.state = start + count
+        assert self.bit_generator.state <= len(self.words), "ran out of crafted words"
+        return self.words[start:start + count]
+
+    def integers(self, low, high=None, size=None, dtype=None):
+        if high is not None:
+            assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+            return np.array(self._take(size), dtype=np.uint32)
+        k = low
+        if k == 1:
+            return 0
+        (w,) = self._take(1)
+        m = w * k
+        if m & 0xFFFFFFFF < k:
+            threshold = ((1 << 32) - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                (w,) = self._take(1)
+                m = w * k
+        return m >> 32
+
+
+class TestRewireLemireRedraws:
+    """Words that force a Lemire redraw at each of the rewiring loop's four
+    inline pick sites give the scalar-draw oracle's edges and end state."""
+
+    def test_crafted_words_draw_as_numpy(self):
+        # 2**31 + 5 redraws about half its draws.
+        ks = [2, 3, 17, 73782, 2**31 + 5, 1] * 2000
+        words = np.random.default_rng(5).integers(0, 1 << 32, size=40_000, dtype=np.uint32)
+        fake = _CraftedWords(words.tolist())
+        real = np.random.default_rng(5)
+        assert [fake.integers(k) for k in ks] == [int(real.integers(k)) for k in ks]
+
+    def test_every_pick_site_redraws(self, monkeypatch):
+        # The tolerance of test_both_branches_when_the_target_is_crossed,
+        # so both branches run until the budget is spent. A zero word makes
+        # a pick's low word 0, below any threshold but a power of two's.
+        config = LfrConfig(
+            n=100, avg_degree=5, max_degree=15, gamma=3.0, beta=2.0, mu=0.3, seed=2,
+            mixing_tolerance=1e-4,
+        )
+        graph, planted, resolved, _ = _rewire_inputs(config, monkeypatch)
+        source = np.random.default_rng(9)
+        words = source.integers(0, 1 << 32, size=200_000, dtype=np.uint32)
+        words[source.random(len(words)) < 0.1] = 0
+        redraws = []
+
+        def redraw(m, k, word, lemire_redraw=lfr._lemire_redraw):
+            frame = sys._getframe(1)
+            out = lemire_redraw(m, k, word)
+            redraws.append((frame.f_code.co_name, frame.f_lineno, out != m))
+            return out
+
+        monkeypatch.setattr(lfr, "_lemire_redraw", redraw)
+        (got, got_warn), (want, want_warn) = _rewire_both(
+            graph, planted, resolved, words.tolist(), make_rng=_CraftedWords
+        )
+        assert got == want
+        assert len(got_warn) == 1 and "budget exhausted" in got_warn[0]
+        assert got_warn == want_warn
+        sites = {(name, line) for name, line, drew in redraws if drew}
+        assert {name for name, _ in sites} == {"rewire_to_mixing"}
+        assert len(sites) == 4
+
+
+class TestGrowLargest:
+    def test_shaves_the_tail_down_to_the_floor(self):
+        # 4 nodes move to the largest: 1 and 2 from the two smallest, which
+        # stop at the floor of 4, then 1 from the next.
+        assert lfr._grow_largest([6, 10, 5, 8], need=14, lo=4) == [14, 7, 4, 4]
+
+    def test_budget_that_cannot_provide_the_size_rejected(self):
+        with pytest.raises(ValueError, match="needs a community of 9 but the size budget"):
+            lfr._grow_largest([5, 5], need=9, lo=4)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("iterations", [0, -5])
     def test_rewire_budget_below_one_rejected(self, iterations):
@@ -671,6 +762,31 @@ class TestGenerate:
                 internal_stub_count(net.graph.degree(v), config.mu)
                 < net.planted.community_sizes[cid]
             )
+
+    @pytest.mark.parametrize("seed, sizes", [(30, (82, 18)), (9, None)])
+    def test_largest_community_grown_after_fifty_redraws(self, monkeypatch, seed, sizes):
+        # Every size draw leaves the highest-degree node without a community
+        # of 82 (seed 30) or 78 (seed 9), so the largest is grown to that
+        # size, which with seed 9 takes more than the others can give up.
+        grown = []
+
+        def grow(*args, grow_largest=lfr._grow_largest):
+            grown.append(args)
+            return grow_largest(*args)
+
+        monkeypatch.setattr(lfr, "_grow_largest", grow)
+        config = LfrConfig(
+            n=100, avg_degree=30, max_degree=90, gamma=2.0, beta=2.0, mu=0.1, seed=seed,
+        )
+        if sizes is None:
+            with pytest.raises(ValueError, match="size budget cannot provide one"):
+                generate(config)
+        else:
+            net = generate(config)
+            assert net.planted.community_sizes == sizes
+            for v, cid in enumerate(net.planted.membership):
+                assert internal_stub_count(net.graph.degree(v), config.mu) < sizes[cid]
+        assert len(grown) == 1
 
     def test_pinned_n5000_network(self, generate_large_networks):
         """The four generate-large sweep units (n=5000, mu 0.1 to 0.7, master
