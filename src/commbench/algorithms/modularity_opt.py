@@ -29,12 +29,12 @@ class _Agglomeration:
     A community is named by one of its nodes, and a pair lo < hi by
     lo * n + hi. A heap entry is (key, pair), so entries of distinct
     pairs are distinct and equal keys tie in (lo, hi) order. `current`
-    maps each live adjacent pair to its latest entry; any other entry is
-    stale and is dropped when popped. A current entry's key may sit below
-    its pair's exact one, never above it, so the first current entry that
-    is exact when popped is the smallest exact entry of any live pair, and
-    the merge order is the one eager re-scoring of every pair would give.
-    An instance runs once.
+    maps each live adjacent pair to its latest entry, the one store of
+    that pair's key; any other entry is stale and is dropped when popped.
+    A current entry's key may sit below its pair's exact one, never above
+    it, so the first current entry that is exact when popped is the
+    smallest exact entry of any live pair, and the merge order is the one
+    eager re-scoring of every pair would give. An instance runs once.
     """
 
     def __init__(self, graph):
@@ -54,10 +54,12 @@ class _Agglomeration:
         goes to exact(key, pair), which returns None if the key is exact,
         and the pair is merged, or else the exact key, whose entry replaces
         it. The community with more neighbours survives a merge; then
-        merged(survivor, absorbed, absorbed's former neighbours) returns
-        the survivor's neighbours x to re-score, and the key score(survivor,
-        x) is pushed for each, in their order. Every pair it leaves out
-        must keep its entry at or below its exact key.
+        merged(survivor, absorbed, merged pair's key, gone), `gone` mapping
+        each other former neighbour of the absorbed to its pair's key,
+        returns the survivor's neighbours x to re-score, and the key
+        score(survivor, x, entry) is pushed for each, in their order, with
+        the pair's current entry, None if x is new to the survivor. Every
+        pair it leaves out must keep its entry at or below its exact key.
         Returns the level of maximal modularity, later levels winning
         ties."""
         n = len(self.links)
@@ -74,9 +76,9 @@ class _Agglomeration:
             if current.get(pair) is not entry:
                 heapq.heappop(heap)
                 continue
-            key = exact(key, pair)
-            if key is not None:
-                current[pair] = entry = (key, pair)
+            rekey = exact(key, pair)
+            if rekey is not None:
+                current[pair] = entry = (rekey, pair)
                 heapq.heapreplace(heap, entry)
                 continue
             heapq.heappop(heap)
@@ -87,22 +89,23 @@ class _Agglomeration:
             merges.append((a, b))
             wa, wb = links[a], links[b]
             links[b] = None
+            gone = {}
             for nbr, weight in wb.items():
                 if nbr == a:
                     continue
-                del current[b * n + nbr if b < nbr else nbr * n + b]
+                gone[nbr] = current.pop(b * n + nbr if b < nbr else nbr * n + b)[0]
                 wa[nbr] = wa.get(nbr, 0.0) + weight
                 wn = links[nbr]
                 del wn[b]
                 wn[a] = wa[nbr]
-            del wa[b], wb[a]
+            del wa[b]
             degree[a] += degree[b]
             if q >= best_q:
                 best_q = q
                 best_merges = len(merges)
-            for nbr in merged(a, b, wb):
+            for nbr in merged(a, b, key, gone):
                 pair = a * n + nbr if a < nbr else nbr * n + a
-                current[pair] = entry = (score(a, nbr), pair)
+                current[pair] = entry = (score(a, nbr, current.get(pair)), pair)
                 heapq.heappush(heap, entry)
             if len(heap) > 4 * len(current) + _REBUILD_SLACK:
                 heap = list(current.values())
@@ -144,7 +147,7 @@ def fastgreedy(graph: Graph) -> Partition:
         return None if now == key else now
 
     heap = [(-delta_q(u, v), u * n + v) for u, v in graph.edges]
-    return agg.run(heap, lambda a, x: -delta_q(a, x), exact, lambda a, b, absorbed: absorbed)
+    return agg.run(heap, lambda a, x, entry: -delta_q(a, x), exact, lambda a, b, key, gone: gone)
 
 
 def _local_moves(graph, rng, objective, tol):

@@ -42,7 +42,8 @@ def walktrap(graph: Graph, params) -> Partition:
     sigma is computed at once. Either way it comes from the same two mean
     rows as it would right after the merge, so every sigma, and so every
     merge, is the one eager scoring gives. Pairs of equal sigma merge in
-    (lo, hi) order of their representatives, so no seed is read.
+    (lo, hi) order of their representatives, so no seed is read. Each
+    pair's sigma, or its bound, is held only as its merge-engine key.
     """
     _require_edges(graph)
     n = graph.node_count
@@ -61,36 +62,31 @@ def walktrap(graph: Graph, params) -> Partition:
         diff = mean_a - mean_b
         return size_a * size_b / (size_a + size_b) * float(diff @ (diff * inv_d)) / n
 
-    # sigma[lo * n + hi] for each adjacent pair: exact, or a lower bound
-    # for the pairs in `loose`.
-    sigma = {}
+    # The pairs whose key is a lower bound on their sigma.
     loose = set()
-    heap = []
-    for u, v in graph.edges:
-        sig = direct_sigma(mean[u], mean[v], 1, 1)
-        sigma[u * n + v] = sig
-        heap.append((sig, u * n + v))
-    # The latest merge: (absorbed, size_a, size_b, sigma_ab, and a's and
-    # b's mean rows before it, for the Ward update's loose inputs).
+    heap = [(direct_sigma(mean[u], mean[v], 1, 1), u * n + v) for u, v in graph.edges]
+    # The latest merge: (absorbed, size_a, size_b, sigma_ab, the absorbed
+    # community's keys, and a's and b's mean rows before it, for the Ward
+    # update's loose inputs).
     last = None
 
-    def merged(a, b, absorbed):
+    def merged(a, b, sigma_ab, gone):
         nonlocal last
         old_a = mean[a] if size[a] > 1 else mean[a].copy()  # profile[a] changes in place
-        last = (b, size[a], size[b], sigma.pop(a * n + b if a < b else b * n + a), old_a, mean[b])
+        last = (b, size[a], size[b], sigma_ab, gone, old_a, mean[b])
         profile[a] += profile[b]
         size[a] += size[b]
         mean[a] = profile[a] / size[a]
         mean[b] = None
         return agg.links[a]  # every pair of a's changed
 
-    def score(a, x):
-        b, size_a, size_b, sigma_ab, old_a, old_b = last
+    def score(a, x, entry):
+        b, size_a, size_b, sigma_ab, gone, old_a, old_b = last
         size_x = size[x]
         ax = a * n + x if a < x else x * n + a
         bx = b * n + x if b < x else x * n + b
-        s_ax = sigma.pop(ax, None)
-        s_bx = sigma.pop(bx, None)
+        s_ax = None if entry is None else entry[0]
+        s_bx = gone.get(x)
         if s_ax is not None and s_bx is not None:
             if ax in loose:
                 loose.remove(ax)
@@ -113,7 +109,6 @@ def walktrap(graph: Graph, params) -> Partition:
             else:  # it would be popped and re-keyed next
                 loose.discard(ax)
                 s_new = direct_sigma(mean[a], mean[x], size[a], size_x)
-        sigma[ax] = s_new
         return s_new
 
     def exact(key, pair):
@@ -121,8 +116,7 @@ def walktrap(graph: Graph, params) -> Partition:
             return None
         loose.remove(pair)
         lo, hi = divmod(pair, n)
-        sigma[pair] = sig = direct_sigma(mean[lo], mean[hi], size[lo], size[hi])
-        return sig
+        return direct_sigma(mean[lo], mean[hi], size[lo], size[hi])
 
     return agg.run(heap, score, exact, merged)
 

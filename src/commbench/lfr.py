@@ -246,9 +246,8 @@ def configuration_model(degrees, rng) -> Graph:
     unique, inverse, counts = np.unique(key_array, return_inverse=True, return_counts=True)
     bad = np.flatnonzero((pairs[:, 0] == pairs[:, 1]) | (counts[inverse] > 1)).tolist()
     keys = key_array.tolist()
-    present = set(keys)
-    # Multiplicity of each key held by more than one edge.
-    multi = dict(zip(unique[counts > 1].tolist(), counts[counts > 1].tolist()))
+    # The number of edges holding each key, for the keys held by any.
+    held = dict(zip(unique.tolist(), counts.tolist()))
 
     budget = 200 * max(m, 1)
     attempts = 0
@@ -271,23 +270,19 @@ def configuration_model(degrees, rng) -> Graph:
                 continue
             new1 = a * n + c if a <= c else c * n + a
             new2 = b * n + d if b <= d else d * n + b
-            if new1 == new2 or new1 in present or new2 in present:
+            if new1 == new2 or new1 in held or new2 in held:
                 continue
             # Keys left on a single edge stop being bad, unless a self-loop.
             fixed = set()
             for old in (keys[i], keys[j]):
-                if old in multi:
-                    multi[old] -= 1
-                    if multi[old] == 1:
-                        del multi[old]
-                        if old // n != old % n:
-                            fixed.add(old)
-                else:
-                    present.discard(old)
+                held[old] -= 1
+                if not held[old]:
+                    del held[old]
+                elif held[old] == 1 and old // n != old % n:
+                    fixed.add(old)
             keys[i] = new1
             keys[j] = new2
-            present.add(new1)
-            present.add(new2)
+            held[new1] = held[new2] = 1
             bad = [k for k in bad if k != i and k != j and keys[k] not in fixed]
     graph = Graph(n, np.column_stack(np.divmod(np.array(keys, dtype=np.int64), n)))
     assert graph.degrees() == degrees
@@ -696,9 +691,12 @@ def rewire_to_mixing(graph: Graph, planted: Partition, config: LfrConfig, rng) -
     return result
 
 
-def _grow_largest(sizes, need, lo):
+def _grow_largest(sizes, need, lo, hi):
     """Raise the largest community to `need`, shaving the excess off the
-    tail without dropping any community below `lo`."""
+    tail without taking any community below `lo`. If the excess outlasts
+    that, the smallest communities are dropped until the rest fit, and
+    the smallest one kept, other than the largest, takes up what is then
+    missing, within `hi`."""
     sizes = sorted(sizes, reverse=True)
     delta = need - sizes[0]
     sizes[0] = need
@@ -708,7 +706,10 @@ def _grow_largest(sizes, need, lo):
         take = min(delta, sizes[i] - lo)
         sizes[i] -= take
         delta -= take
-    if delta:
+    while delta > 0 and len(sizes) > 1:
+        delta -= sizes.pop()
+    sizes[-1] -= delta
+    if len(sizes) == 1 or sizes[-1] > hi:
         raise ValueError(
             f"cannot host the highest-degree node: it needs a community of "
             f"{need} but the size budget cannot provide one"
@@ -739,7 +740,7 @@ def generate(config: LfrConfig) -> PlantedNetwork:
                 break
         else:
             if max(sizes) < need:
-                sizes = _grow_largest(sizes, need, resolved.min_community)
+                sizes = _grow_largest(sizes, need, resolved.min_community, resolved.max_community)
             shortfall = _fit_shortfall(int_deg, sizes)
             if shortfall:
                 raise ValueError(f"community sizes cannot host every node: {shortfall}")

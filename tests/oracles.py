@@ -800,3 +800,22 @@ def assign_direct(degrees, sizes, mu, rng):
             member_of[v] = cid
             queue.append(evicted)
     return Partition(member_of)
+
+
+
+def grow_largest_shave_only(sizes, need, lo):
+    """`lfr._grow_largest` before it could drop communities: the largest
+    raised to `need`, the excess shaved off the tail without taking any
+    community below `lo`, and a ValueError where that cannot cover it."""
+    sizes = sorted(sizes, reverse=True)
+    delta = need - sizes[0]
+    sizes[0] = need
+    for i in range(len(sizes) - 1, 0, -1):
+        if delta == 0:
+            break
+        take = min(delta, sizes[i] - lo)
+        sizes[i] -= take
+        delta -= take
+    if delta:
+        raise ValueError("the size budget cannot provide one")
+    return sizes

@@ -428,6 +428,57 @@ class TestFastgreedy:
         assert_merge_engine_matches_pinned_digests()
 
 
+
+class TestMergeEngineCallbacks:
+    @pytest.mark.parametrize(
+        "detect", [fastgreedy, lambda g: walktrap(g, PARAMS)], ids=["fastgreedy", "walktrap"]
+    )
+    def test_callbacks_get_the_keys_the_engine_holds(self, monkeypatch, detect):
+        """Beside a map of each live pair's key, rebuilt from the heap and
+        from what `exact` and `score` return: `merged` gets the merged
+        pair's key and, in `gone`, each other pair of the absorbed
+        community with its key; `score` gets the pair's entry, or None
+        exactly where the pair is new to the survivor."""
+        g = generate(WALKTRAP_LFR[0]).graph
+        n = g.node_count
+        keys = {}
+        seen = {"gone": 0, "entry": 0, "none": 0}
+        run = modularity_opt._Agglomeration.run
+
+        def recording_run(agg, heap, score, exact, merged):
+            keys.update((pair, key) for key, pair in heap)
+
+            def rec_exact(key, pair):
+                assert keys[pair] == key
+                rekey = exact(key, pair)
+                if rekey is not None:
+                    keys[pair] = rekey
+                return rekey
+
+            def rec_merged(a, b, key, gone):
+                assert keys.pop(min(a, b) * n + max(a, b)) == key
+                held = {}
+                for pair in [pair for pair in keys if b in divmod(pair, n)]:
+                    lo, hi = divmod(pair, n)
+                    held[lo + hi - b] = keys.pop(pair)
+                assert gone == held
+                seen["gone"] += len(gone)
+                return merged(a, b, key, gone)
+
+            def rec_score(a, x, entry):
+                pair = min(a, x) * n + max(a, x)
+                assert entry == ((keys[pair], pair) if pair in keys else None)
+                seen["none" if entry is None else "entry"] += 1
+                keys[pair] = key = score(a, x, entry)
+                return key
+
+            return run(agg, heap, rec_score, rec_exact, rec_merged)
+
+        monkeypatch.setattr(modularity_opt._Agglomeration, "run", recording_run)
+        detect(g)
+        assert min(seen.values()) > 0
+
+
 class TestLouvain:
     def test_disjoint_cliques(self, two_five_cliques):
         assert louvain(two_five_cliques, PARAMS) == TWO_CLIQUES

@@ -611,11 +611,12 @@ class TestPinnedRecords:
         self.check(tmp_path, "pinned_records_n1000.csv", 9, spec)
 
     @pytest.mark.acceptance
-    def test_check_profile_matches_pinned_file(self, tmp_path):
-        """The whole `profiles/check.json` grid at two workers, the check a
-        change meant to keep results the same must pass."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_check_profile_matches_pinned_file(self, tmp_path, workers):
+        """The whole `profiles/check.json` grid at one and at two workers,
+        the check a change meant to keep results the same must pass."""
         spec = SweepSpec.from_file(PROFILES / "check.json")
-        self.check(tmp_path, "pinned_check_records.csv", 648, spec, workers=2)
+        self.check(tmp_path, "pinned_check_records.csv", 648, spec, workers=workers)
 
 
 def pinned_check_records(tmp_path):

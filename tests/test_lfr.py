@@ -3,12 +3,15 @@ import hashlib
 import json
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commbench import lfr
 from commbench.algorithms import AlgoParams, louvain
@@ -34,10 +37,16 @@ from commbench.metrics import measured_mixing, partition_nmi
 from oracles import (
     assign_direct,
     configuration_direct,
+    grow_largest_shave_only,
     powerlaw_mle_exponent,
     powerlaw_sample_mean,
     rewire_direct,
 )
+
+
+def digest(values):
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
+
 
 TABLE_CONFIG = LfrConfig(
     n=1000, avg_degree=15, max_degree=45, gamma=3.0, beta=2.0, mu=0.3, seed=0
@@ -171,6 +180,22 @@ class TestConfigurationModel:
         # pendant nodes on four vertices.
         with pytest.raises(ValueError, match="not realizable"):
             configuration_model([3, 3, 1, 1], np.random.default_rng(0))
+
+    def test_repairs_match_pinned_digests(self):
+        """Dense sequences whose stub pairing leaves triple edges and
+        repeated self-loops give checked-in edge lists."""
+        pin_file = Path(__file__).parent / "data" / "pinned_configuration_model.json"
+        pin = json.loads(pin_file.read_text())
+        assert len(pin["cases"]) == 8
+        for case in pin["cases"]:
+            degrees, seed = case["degrees"], case["seed"]
+            stubs = np.repeat(np.arange(len(degrees)), degrees)
+            np.random.default_rng(seed).shuffle(stubs)
+            counts = Counter(map(tuple, np.sort(stubs.reshape(-1, 2), axis=1).tolist()))
+            assert any(c >= 3 and u != v for (u, v), c in counts.items()), seed
+            assert any(c >= 2 and u == v for (u, v), c in counts.items()), seed
+            g = configuration_model(degrees, np.random.default_rng(seed))
+            assert digest(g.edges) == case["edges_sha256"], seed
 
     def test_realizes_sampled_sequences_exactly(self):
         config = TABLE_CONFIG
@@ -691,11 +716,47 @@ class TestGrowLargest:
     def test_shaves_the_tail_down_to_the_floor(self):
         # 4 nodes move to the largest: 1 and 2 from the two smallest, which
         # stop at the floor of 4, then 1 from the next.
-        assert lfr._grow_largest([6, 10, 5, 8], need=14, lo=4) == [14, 7, 4, 4]
+        assert lfr._grow_largest([6, 10, 5, 8], need=14, lo=4, hi=20) == [14, 7, 4, 4]
+
+    def test_drops_the_smallest_when_shaving_falls_short(self):
+        # The size draw of TestGenerate's seed-9 unit: shaving the others to
+        # 14 leaves 20 too many, so two are dropped and the one kept takes
+        # the 8 then missing.
+        assert lfr._grow_largest([32, 24, 22, 22], need=78, lo=14, hi=78) == [78, 22]
 
     def test_budget_that_cannot_provide_the_size_rejected(self):
+        # Dropping the smaller community leaves only the largest.
         with pytest.raises(ValueError, match="needs a community of 9 but the size budget"):
-            lfr._grow_largest([5, 5], need=9, lo=4)
+            lfr._grow_largest([5, 5], need=9, lo=4, hi=9)
+
+    def test_shortfall_above_the_ceiling_rejected(self):
+        # One 6 is dropped, and the other would have to hold 11.
+        assert lfr._grow_largest([6, 6, 6], need=7, lo=6, hi=11) == [7, 11]
+        with pytest.raises(ValueError, match="needs a community of 7 but the size budget"):
+            lfr._grow_largest([6, 6, 6], need=7, lo=6, hi=10)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(1, 20), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sizes_from_shaving_unchanged(self, sizes, lo, data):
+        """Every size list that shaving alone gives comes back unchanged.
+        Any other starts at `need`, keeps the total and at least one more
+        community, and keeps the rest within [lo, hi]."""
+        sizes = [max(s, lo) for s in sizes]
+        need = data.draw(st.integers(max(sizes) + 1, max(sum(sizes), max(sizes) + 1)), "need")
+        hi = data.draw(st.integers(need, need + 20), label="hi")
+        try:
+            want = grow_largest_shave_only(sizes, need, lo)
+        except ValueError:
+            want = None
+        try:
+            got = lfr._grow_largest(sizes, need, lo, hi)
+        except ValueError:
+            assert want is None
+            return
+        if want is not None:
+            assert got == want
+        assert got[0] == need and sum(got) == sum(sizes) and len(got) > 1
+        assert all(lo <= s <= hi for s in got[1:])
 
 
 class TestConfigValidation:
@@ -763,11 +824,12 @@ class TestGenerate:
                 < net.planted.community_sizes[cid]
             )
 
-    @pytest.mark.parametrize("seed, sizes", [(30, (82, 18)), (9, None)])
+    @pytest.mark.parametrize("seed, sizes", [(30, (82, 18)), (9, (78, 22))])
     def test_largest_community_grown_after_fifty_redraws(self, monkeypatch, seed, sizes):
         # Every size draw leaves the highest-degree node without a community
         # of 82 (seed 30) or 78 (seed 9), so the largest is grown to that
-        # size, which with seed 9 takes more than the others can give up.
+        # size; with seed 9 that takes more than the others can give up
+        # while all four are kept (TestGrowLargest).
         grown = []
 
         def grow(*args, grow_largest=lfr._grow_largest):
@@ -778,14 +840,10 @@ class TestGenerate:
         config = LfrConfig(
             n=100, avg_degree=30, max_degree=90, gamma=2.0, beta=2.0, mu=0.1, seed=seed,
         )
-        if sizes is None:
-            with pytest.raises(ValueError, match="size budget cannot provide one"):
-                generate(config)
-        else:
-            net = generate(config)
-            assert net.planted.community_sizes == sizes
-            for v, cid in enumerate(net.planted.membership):
-                assert internal_stub_count(net.graph.degree(v), config.mu) < sizes[cid]
+        net = generate(config)
+        assert net.planted.community_sizes == sizes
+        for v, cid in enumerate(net.planted.membership):
+            assert internal_stub_count(net.graph.degree(v), config.mu) < sizes[cid]
         assert len(grown) == 1
 
     def test_pinned_n5000_network(self, generate_large_networks):
@@ -794,10 +852,6 @@ class TestGenerate:
         planted memberships."""
         pin_file = Path(__file__).parent / "data" / "pinned_generate_large.json"
         pin = json.loads(pin_file.read_text())
-
-        def digest(values):
-            return hashlib.sha256(json.dumps(values).encode()).hexdigest()
-
         assert (pin["master_seed"], pin["replicate"]) == (1010, 0)
         assert list(pin["networks"]) == list(generate_large_networks)
         for key, want in pin["networks"].items():
