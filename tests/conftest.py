@@ -1,13 +1,10 @@
 """Shared fixtures: small graphs with known community structure."""
 
 import itertools
-from dataclasses import asdict
 
 import pytest
 
 from commbench.graph import Graph
-from commbench.harness import Cell, derive_seed
-from commbench.lfr import LfrConfig, generate
 
 
 def pytest_configure(config):
@@ -39,19 +36,6 @@ def make_ring_of_triangles(count=4):
         edges += [(a, b), (a, c), (b, c)]
         edges.append((c, (3 * (i + 1)) % (3 * count)))
     return Graph(3 * count, edges)
-
-
-@pytest.fixture(scope="session")
-def generate_large_networks():
-    """The four networks of the generate-large benchmark (n=5000, <k>=30,
-    mu 0.1 to 0.7, master seed 1010, replicate 0), generated as a sweep
-    generates them, by cell key."""
-    out = {}
-    for mu in (0.1, 0.3, 0.5, 0.7):
-        cell = Cell(n=5000, avg_degree=30.0, max_degree=90, gamma=3.0, beta=2.0, mu=mu)
-        seed = derive_seed(1010, cell.key(), 0)
-        out[cell.key()] = generate(LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True))
-    return out
 
 
 @pytest.fixture

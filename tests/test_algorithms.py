@@ -1,11 +1,7 @@
-import hashlib
 import heapq
-import json
 import random
 import tracemalloc
 import warnings
-from dataclasses import asdict
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,12 +41,12 @@ from commbench.graph import (
     Partition,
     connected_components,
     edge_triangle_count,
-    quotient_graph,
 )
-from commbench.harness import Cell, SweepSpec, derive_seed, run_sweep
+from commbench.harness import SweepSpec, run_sweep
 from commbench.lfr import LfrConfig, generate
 from commbench.metrics import modularity, partition_nmi
 
+import pins
 from conftest import clique_edges, make_clique_pair, make_ring_of_triangles
 from oracles import (
     connected_partitions,
@@ -93,24 +89,6 @@ WALKTRAP_LFR = [
 ]
 
 
-def assert_merge_engine_matches_pinned_digests():
-    networks = list(pinned_sweep_networks("pinned_agglomeration.json"))
-    assert len(networks) == 5
-    for want, net in networks:
-        g = net.graph
-        walktrap_seed = derive_seed(want["master_seed"], f"{want['cell']}|walktrap", 0)
-        got = {
-            "fastgreedy": fastgreedy(g),
-            "walktrap": walktrap(g, AlgoParams(seed=walktrap_seed)),
-        }
-        for name, membership in want["membership_sha256"].items():
-            assert digest(list(got[name].membership)) == membership, (want["cell"], name)
-
-
-def digest(values):
-    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
-
-
 def sparse_graph_with_isolated_nodes(n, p, seed):
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
@@ -150,26 +128,6 @@ def two_hubs(degree, shared):
     leaves = degree - 1 - shared
     edges += [(h, 2 + shared + h * leaves + i) for h in (0, 1) for i in range(leaves)]
     return Graph(2 + shared + 2 * leaves, edges)
-
-
-def pinned_sweep_networks(name):
-    """Yield (entry, PlantedNetwork) for each network of a pinned-digest
-    file that names sweep units by master seed, cell key and replicate."""
-    pin = json.loads((Path(__file__).parent / "data" / name).read_text())
-    for want in pin["networks"]:
-        fields = dict(item.split("=") for item in want["cell"].split(","))
-        cell = Cell(
-            n=int(fields["n"]), avg_degree=float(fields["k"]),
-            max_degree=int(fields["kmax"]), gamma=float(fields["gamma"]),
-            beta=float(fields["beta"]), mu=float(fields["mu"]),
-        )
-        assert cell.key() == want["cell"]
-        seed = derive_seed(want["master_seed"], want["cell"], pin["replicate"])
-        assert seed == want["seed"]
-        config = LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True)
-        net = generate(config)
-        assert digest(net.graph.edges) == want["edges_sha256"], want["cell"]
-        yield want, net
 
 
 def caterpillar(spine, legs):
@@ -331,14 +289,7 @@ class TestRadetal:
         assert _removal_order(g) == removal_order_direct(g)
 
     def test_removal_order_matches_pinned_digest(self):
-        # Digests of the removal order and partition recorded before the
-        # heap held one-int entries.
-        networks = list(pinned_sweep_networks("pinned_removal_order.json"))
-        assert len(networks) == 5
-        for want, net in networks:
-            g = net.graph
-            assert digest(_removal_order(g)) == want["removal_order_sha256"], want["cell"]
-            assert digest(list(radetal(g).membership)) == want["membership_sha256"], want["cell"]
+        assert pins.removal_order() == pins.pinned("pinned_removal_order.json")
 
     def test_memory_stays_linear_on_adjacent_hubs(self):
         # Coefficient codes are kept only for the (t + 1, d) pairs that
@@ -389,10 +340,7 @@ class TestFastgreedy:
         assert modularity_direct(g, Partition([0, 1])) == -0.5
 
     def test_merge_engine_memberships_match_pinned_digests(self):
-        """fastgreedy and walktrap, which share one merge loop, reproduce
-        their memberships on the detect-large network and the four n=1000
-        sweep-reduced units, walktrap with the sweep's derived seed."""
-        assert_merge_engine_matches_pinned_digests()
+        assert pins.agglomeration() == pins.pinned("pinned_agglomeration.json")
 
     def test_merge_engine_rebuilt_after_every_merge(self, monkeypatch):
         """A heap rebuilt from the current entries after every merge keeps
@@ -425,7 +373,7 @@ class TestFastgreedy:
             g = generate(config).graph
             want, _ = walktrap_direct(g, PARAMS.walktrap_t)
             assert rebuilt_every_merge(lambda g: walktrap(g, PARAMS), g) == want
-        assert_merge_engine_matches_pinned_digests()
+        assert pins.agglomeration() == pins.pinned("pinned_agglomeration.json")
 
 
 
@@ -913,16 +861,9 @@ class TestMarkovCluster:
         assert len(steps) == iterations
 
     def test_memberships_match_pinned_digests(self):
-        """The detect-large network and the four n=1000 sweep-reduced units,
-        whose first iterations run dense, plus expansion 3 on one of them,
-        reproduce digests written by the all-sparse iteration."""
-        networks = list(pinned_sweep_networks("pinned_markov_cluster.json"))
-        assert len(networks) == 5
-        for want, net in networks:
-            g = net.graph
-            for expansion, membership in want["membership_sha256"].items():
-                got = markov_cluster(g, AlgoParams(mcl_expansion=int(expansion)))
-                assert digest(list(got.membership)) == membership, (want["cell"], expansion)
+        # The first iterations run dense on these networks; the digests
+        # were written by the all-sparse iteration.
+        assert pins.markov_cluster() == pins.pinned("pinned_markov_cluster.json")
 
     def test_edgeless_graph_gives_singletons(self):
         got = markov_cluster(Graph(4, []), PARAMS)
@@ -961,39 +902,7 @@ class TestInfomap:
             assert description_length(g, got) <= description_length(g, all_in_one) + 1e-12
 
     def test_description_length_matches_pinned_bits(self):
-        """float.hex values written by the per-node loop that summed module
-        strengths and exit weights, on the detect-large network and the four
-        n=1000 sweep-reduced networks: under the planted, all-in-one,
-        singleton and a seeded random partition, and on one quotient of each
-        network under a seeded partition."""
-        name = "pinned_description_length.json"
-        pin = json.loads((Path(__file__).parent / "data" / name).read_text())
-        networks = list(pinned_sweep_networks(name))
-        assert len(networks) == 5
-
-        def seeded(rng, count, size):
-            return Partition.from_labels([rng.randrange(count) for _ in range(size)])
-
-        def lengths(graph, parts):
-            return {key: description_length(graph, p).hex() for key, p in parts.items()}
-
-        for want, net in networks:
-            rng = random.Random(pin["partition_seed"])
-            n = net.graph.node_count
-            parts = {
-                "planted": net.planted,
-                "all_in_one": Partition([0] * n),
-                "singletons": Partition(list(range(n))),
-                "random": seeded(rng, pin["random_communities"], n),
-            }
-            q = quotient_graph(net.graph, seeded(rng, pin["quotient_communities"], n))
-            q_parts = {
-                "singletons": Partition(list(range(q.node_count))),
-                "random": seeded(rng, pin["quotient_random_communities"], q.node_count),
-            }
-            assert lengths(net.graph, parts) == want["description_length"], want["cell"]
-            assert q.node_count == want["quotient"]["node_count"]
-            assert lengths(q, q_parts) == want["quotient"]["description_length"], want["cell"]
+        assert pins.description_lengths() == pins.pinned("pinned_description_length.json")
 
 
 class RecordingRng:
@@ -1104,18 +1013,9 @@ class TestLocalMoves:
         assert infomap(path, AlgoParams(seed=0)) == Partition([0] * 6)
 
     def test_memberships_match_pinned_digests(self):
-        """Pins louvain and infomap exactly, where the pinned records hold
-        only six-digit summaries: on these networks each run goes through
-        several aggregation levels and hundreds of tie draws."""
-        pin = json.loads((Path(__file__).parent / "data" / "pinned_local_moves.json").read_text())
-        assert len(pin["networks"]) == 2
-        for mu, want in pin["networks"].items():
-            g = generate(LfrConfig(**pin["lfr_config"], mu=float(mu))).graph
-            assert digest(g.edges) == want["edges_sha256"], mu
-            for name, by_seed in want["membership_sha256"].items():
-                for seed in pin["algo_seeds"]:
-                    got = ALGORITHMS[name](g, AlgoParams(seed=seed))
-                    assert digest(list(got.membership)) == by_seed[str(seed)], (mu, name, seed)
+        # Exact memberships, where the pinned records hold only six-digit
+        # summaries.
+        assert pins.local_moves() == pins.pinned("pinned_local_moves.json")
 
 
 class TestLabelPropagation:
@@ -1150,44 +1050,8 @@ class TestLabelPropagation:
         with pytest.warns(ConvergenceWarning, match=r"round cap \(1\)"):
             label_propagation(g, AlgoParams(seed=0, lp_max_rounds=1))
 
-    def test_pinned_memberships(self, generate_large_networks):
-        """Memberships and warning texts reproduce checked-in digests: the
-        four generate-large networks at the default round cap, and the four
-        n=1000 sweep-reduced networks at caps 1, 2 and 100, each with the
-        seed the sweep derives for it."""
-        pin = json.loads((Path(__file__).parent / "data" / "pinned_label_propagation.json").read_text())
-
-        def run(graph, params):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = label_propagation(graph, params)
-            membership = hashlib.sha256(json.dumps(list(got.membership)).encode()).hexdigest()
-            return membership, [str(w.message) for w in caught]
-
-        large = pin["generate_large"]
-        assert list(large["networks"]) == list(generate_large_networks)
-        for key, want in large["networks"].items():
-            seed = derive_seed(large["master_seed"], f"{key}|label_propagation", pin["replicate"])
-            assert seed == want["seed"]
-            got = run(generate_large_networks[key].graph, AlgoParams(seed=seed))
-            assert got == (want["membership_sha256"], want["warnings"]), key
-        reduced = pin["sweep_reduced"]
-        master = reduced["master_seed"]
-        spec = SweepSpec(
-            node_counts=(1000,), avg_degrees=(5.0, 15.0), gammas=(2.0,), betas=(2.0,),
-            mu_grid=(0.4, 0.7, 0.3), replicates=1, master_seed=master,
-        )
-        assert [cell.key() for cell in spec.cells()] == list(reduced["networks"])
-        for cell in spec.cells():
-            key = cell.key()
-            want = reduced["networks"][key]
-            seed = derive_seed(master, key, pin["replicate"])
-            graph = generate(LfrConfig(**asdict(cell), seed=seed, allow_mu_beyond_limit=True)).graph
-            seed = derive_seed(master, f"{key}|label_propagation", pin["replicate"])
-            assert seed == want["seed"]
-            for cap, expected in want["lp_max_rounds"].items():
-                got = run(graph, AlgoParams(seed=seed, lp_max_rounds=int(cap)))
-                assert got == (expected["membership_sha256"], expected["warnings"]), (key, cap)
+    def test_pinned_memberships(self):
+        assert pins.label_propagation() == pins.pinned("pinned_label_propagation.json")
 
 
 class TestCrossCutting:

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import statistics
 from pathlib import Path
 
@@ -24,8 +23,9 @@ from commbench.harness import (
 )
 from commbench.metrics import partition_nmi
 
+import pins
+
 PROFILES = Path(__file__).parents[1] / "profiles"
-DATA = Path(__file__).parent / "data"
 
 SMALL_SPEC = SweepSpec(
     node_counts=(60,),
@@ -497,7 +497,7 @@ class TestCorrelate:
         self.check_against_oracle(records)
 
     def test_check_grid_matches_statistics_oracle(self, tmp_path):
-        self.check_against_oracle(pinned_check_records(tmp_path))
+        self.check_against_oracle(pins.pinned_check_records(tmp_path))
 
 
 class TestEmitCsv:
@@ -585,85 +585,26 @@ class TestPinnedRecords:
     """A fixed-seed sweep of all nine detectors reproduces a checked-in
     records.csv (runtime_ms cut out), byte for byte."""
 
-    DATA = Path(__file__).parent / "data"
+    def test_records_match_pinned_file(self):
+        name = "pinned_records.csv"
+        assert pins.WRITERS[name]() == pins.pinned(name)
 
-    def check(self, tmp_path, name, records, spec, workers=1):
-        outcome = run_sweep(spec, workers=workers)
-        records_path, _ = emit_csv(outcome.records, summarize(outcome.records), tmp_path)
-        lines = records_path.read_text().splitlines()
-        drop = lines[0].split(",").index("runtime_ms")
-        got = [",".join(f for i, f in enumerate(line.split(",")) if i != drop) for line in lines]
-        assert len(got) == 1 + records
-        assert got == (self.DATA / name).read_text().splitlines()
-
-    @staticmethod
-    def grid(**cells):
-        return SweepSpec(gammas=(2.0,), betas=(2.0,), replicates=1, master_seed=7, **cells)
-
-    def test_records_match_pinned_file(self, tmp_path):
-        spec = self.grid(node_counts=(100,), avg_degrees=(5.0, 15.0), mu_grid=(0.1, 0.7, 0.3))
-        self.check(tmp_path, "pinned_records.csv", 54, spec)
-
-    def test_n1000_records_match_pinned_file(self, tmp_path):
-        """Large enough that the merge engine's heap rebuild fires in
-        fastgreedy and walktrap."""
-        spec = self.grid(node_counts=(1000,), avg_degrees=(15.0,), mu_grid=(0.4, 0.4, 0.1))
-        self.check(tmp_path, "pinned_records_n1000.csv", 9, spec)
+    def test_n1000_records_match_pinned_file(self):
+        name = "pinned_records_n1000.csv"
+        assert pins.WRITERS[name]() == pins.pinned(name)
 
     @pytest.mark.acceptance
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_check_profile_matches_pinned_file(self, tmp_path, workers):
+    def test_check_profile_matches_pinned_file(self, workers):
         """The whole `profiles/check.json` grid at one and at two workers,
         the check a change meant to keep results the same must pass."""
-        spec = SweepSpec.from_file(PROFILES / "check.json")
-        self.check(tmp_path, "pinned_check_records.csv", 648, spec, workers=workers)
-
-
-def pinned_check_records(tmp_path):
-    """The records of `pinned_check_records.csv`, read back through
-    `parse_records_csv` with a fixed runtime_ms put in the column the pin
-    cut out."""
-    rows = [line.split(",") for line in (DATA / "pinned_check_records.csv").read_text().splitlines()]
-    at = RECORD_COLUMNS.index("runtime_ms")
-    for row, value in zip(rows, ["runtime_ms"] + ["1"] * len(rows)):
-        row.insert(at, value)
-    path = tmp_path / "records.csv"
-    path.write_text("".join(",".join(row) + "\n" for row in rows))
-    return parse_records_csv(path)
-
-
-def report_pin(records, out_dir):
-    """The report path's outputs on `records`: every r of
-    `correlation_table` as `float.hex` (None stays None), the figure1 text
-    of every (n, avg_degree, gamma, beta) slice, and the figure2 text of
-    walktrap, louvain and infomap at every (n, gamma, beta)."""
-    table = {
-        name: {p: None if r is None else r.hex() for p, r in row.items()}
-        for name, row in correlation_table(records).items()
-    }
-    summaries = summarize(records)
-    slices = sorted({(s.n, s.avg_degree, s.gamma, s.beta) for s in summaries})
-    path = out_dir / "plot.dat"
-    figure1 = {
-        f"n={n},avg_degree={k:g},gamma={g:g},beta={b:g}": emit_plot_data(
-            summaries, "figure1", path, n=n, avg_degree=k, gamma=g, beta=b
-        ).read_text()
-        for n, k, g, b in slices
-    }
-    figure2 = {
-        f"{algo},n={n},gamma={g:g},beta={b:g}": emit_plot_data(
-            summaries, "figure2", path, algorithm=algo, n=n, gamma=g, beta=b
-        ).read_text()
-        for algo in ("walktrap", "louvain", "infomap")
-        for n, g, b in sorted({(n, g, b) for n, _, g, b in slices})
-    }
-    return {"correlation_table": table, "figure1": figure1, "figure2": figure2}
+        name = "pinned_check_records.csv"
+        assert pins.WRITERS[name](workers) == pins.pinned(name)
 
 
 class TestPinnedReport:
     """The correlation table and plot data of the check grid's pinned
     records match a checked-in file exactly."""
 
-    def test_report_matches_pinned_file(self, tmp_path):
-        got = report_pin(pinned_check_records(tmp_path), tmp_path)
-        assert json.dumps(got, indent=1) + "\n" == (DATA / "pinned_report.json").read_text()
+    def test_report_matches_pinned_file(self):
+        assert pins.report() == pins.pinned("pinned_report.json")

@@ -1,11 +1,8 @@
 import dataclasses
-import hashlib
-import json
 import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +31,7 @@ from commbench.lfr import (
 )
 from commbench.metrics import measured_mixing, partition_nmi
 
+import pins
 from oracles import (
     assign_direct,
     configuration_direct,
@@ -42,10 +40,6 @@ from oracles import (
     powerlaw_sample_mean,
     rewire_direct,
 )
-
-
-def digest(values):
-    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
 
 TABLE_CONFIG = LfrConfig(
@@ -184,18 +178,13 @@ class TestConfigurationModel:
     def test_repairs_match_pinned_digests(self):
         """Dense sequences whose stub pairing leaves triple edges and
         repeated self-loops give checked-in edge lists."""
-        pin_file = Path(__file__).parent / "data" / "pinned_configuration_model.json"
-        pin = json.loads(pin_file.read_text())
-        assert len(pin["cases"]) == 8
-        for case in pin["cases"]:
-            degrees, seed = case["degrees"], case["seed"]
+        for degrees, seed in pins.CONFIGURATION_CASES:
             stubs = np.repeat(np.arange(len(degrees)), degrees)
             np.random.default_rng(seed).shuffle(stubs)
             counts = Counter(map(tuple, np.sort(stubs.reshape(-1, 2), axis=1).tolist()))
             assert any(c >= 3 and u != v for (u, v), c in counts.items()), seed
             assert any(c >= 2 and u == v for (u, v), c in counts.items()), seed
-            g = configuration_model(degrees, np.random.default_rng(seed))
-            assert digest(g.edges) == case["edges_sha256"], seed
+        assert pins.configuration_model_edges() == pins.pinned("pinned_configuration_model.json")
 
     def test_realizes_sampled_sequences_exactly(self):
         config = TABLE_CONFIG
@@ -846,36 +835,44 @@ class TestGenerate:
             assert internal_stub_count(net.graph.degree(v), config.mu) < sizes[cid]
         assert len(grown) == 1
 
-    def test_pinned_n5000_network(self, generate_large_networks):
-        """The four generate-large sweep units (n=5000, mu 0.1 to 0.7, master
-        seed 1010) reproduce checked-in digests of their edge lists and
-        planted memberships."""
-        pin_file = Path(__file__).parent / "data" / "pinned_generate_large.json"
-        pin = json.loads(pin_file.read_text())
-        assert (pin["master_seed"], pin["replicate"]) == (1010, 0)
-        assert list(pin["networks"]) == list(generate_large_networks)
-        for key, want in pin["networks"].items():
-            net = generate_large_networks[key]
-            assert net.seed_used == want["seed"] == derive_seed(1010, key, 0)
-            assert digest(net.graph.edges) == want["edges_sha256"], key
-            assert digest(list(net.planted.membership)) == want["membership_sha256"], key
-
-    def test_small_network_louvain_recovery(self):
-        hits, missed = 0, []
-        for seed in range(20):
-            config = LfrConfig(
-                n=100, avg_degree=5, max_degree=15, gamma=3.0, beta=2.0,
-                mu=0.05, seed=seed,
+    def test_reproduces_pinned_networks(self):
+        """`generate` still builds, edge for edge and node for node, every
+        network that the detector pins read from the networks file: the
+        detect-large network, the four n=1000 sweep-reduced units, the two
+        local-moves networks and the four generate-large networks."""
+        with np.load(pins.DATA / pins.NETWORKS_FILE) as committed:
+            assert sorted(committed.files) == sorted(
+                f"{name}:{part}" for name in pins.NETWORKS for part in ("edges", "planted")
             )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                net = generate(config)
-            if any(issubclass(w.category, MixingToleranceWarning) for w in caught):
-                missed.append(seed)
-            got = louvain(net.graph, AlgoParams(seed=seed))
-            if partition_nmi(net.planted, got) >= 0.95:
-                hits += 1
-        assert hits > 10
+            for name, config in pins.NETWORKS.items():
+                for part, array in pins.network_arrays(generate(config)).items():
+                    assert np.array_equal(committed[f"{name}:{part}"], array), (name, part)
+
+
+def small_networks():
+    """(seed, network, whether rewiring missed its mixing target) for twenty
+    n=100, <k>=5, mu=0.05 networks, seeds 0 to 19."""
+    for seed in range(20):
+        config = LfrConfig(
+            n=100, avg_degree=5, max_degree=15, gamma=3.0, beta=2.0, mu=0.05, seed=seed,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            net = generate(config)
+        yield seed, net, any(issubclass(w.category, MixingToleranceWarning) for w in caught)
+
+
+class TestSmallNetworkMixing:
+    def test_only_seed_15_misses_its_target(self):
         # Rewiring reaches only mu=0.0717 on seed 15 (see
         # TestRewireMatchesScalarOracle); every other seed meets its target.
-        assert missed == [15]
+        assert [seed for seed, _, missed in small_networks() if missed] == [15]
+
+
+class TestSmallNetworkLouvainRecovery:
+    def test_recovers_most_planted_partitions(self):
+        hits = sum(
+            partition_nmi(net.planted, louvain(net.graph, AlgoParams(seed=seed))) >= 0.95
+            for seed, net, _ in small_networks()
+        )
+        assert hits > 10
