@@ -109,7 +109,7 @@ def _cmd_generate(args):
         "min_community": net.config.min_community,
         "max_community": net.config.max_community,
         "mixing_tolerance": net.config.mixing_tolerance,
-        "seed": net.seed_used,
+        "seed": net.config.seed,
         "realized_mu": net.realized_mu,
         "realized_mu_global": net.realized_mu_global,
         "mu_limit": net.mu_limit,

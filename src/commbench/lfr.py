@@ -107,7 +107,6 @@ class PlantedNetwork:
     realized_mu_global: float
     mu_limit: float
     config: LfrConfig
-    seed_used: int
 
 
 def mu_limit(n: int, max_community: int) -> float:
@@ -755,5 +754,4 @@ def generate(config: LfrConfig) -> PlantedNetwork:
         realized_mu_global=report.global_fraction,
         mu_limit=mu_limit(config.n, max(planted.community_sizes)),
         config=resolved,
-        seed_used=config.seed,
     )

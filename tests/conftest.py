@@ -27,15 +27,21 @@ def make_clique_pair(k, bridged=False):
     return Graph(2 * k, edges)
 
 
-def make_ring_of_triangles(count=4):
-    """`count` triangles, consecutive ones joined by a single edge, closing
-    into a ring. Nodes 3i, 3i+1, 3i+2 form triangle i."""
+def ring_of_cliques(sizes):
+    """Cliques of the given sizes on consecutive nodes, each joined to the
+    next by one edge, closing into a ring."""
     edges = []
-    for i in range(count):
-        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
-        edges += [(a, b), (a, c), (b, c)]
-        edges.append((c, (3 * (i + 1)) % (3 * count)))
-    return Graph(3 * count, edges)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    for i, size in enumerate(sizes):
+        edges += clique_edges(range(starts[i], starts[i] + size))
+        edges.append((starts[i] + size - 1, starts[(i + 1) % len(sizes)]))
+    return Graph(starts[-1], edges)
+
+
+def random_graph(n, p, rng):
+    """G(n, p): each pair u < v, in order, is an edge when `rng.random() < p`."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges)
 
 
 @pytest.fixture
@@ -65,4 +71,5 @@ def bridged_five_cliques():
 
 @pytest.fixture
 def ring_of_triangles():
-    return make_ring_of_triangles(4)
+    # Nodes 3i, 3i+1, 3i+2 form triangle i.
+    return ring_of_cliques([3] * 4)

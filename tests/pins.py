@@ -41,6 +41,8 @@ from commbench.harness import (
 from commbench.lfr import LfrConfig, configuration_model, generate
 
 DATA = Path(__file__).parent / "data"
+# The seed-7 grid whose records `pinned_check_records.csv` holds.
+CHECK_PROFILE = Path(__file__).parents[1] / "profiles" / "check.json"
 NETWORKS_FILE = "pinned_networks.npz"
 
 # (master seed, cell) of the detect-large unit and the four n=1000
@@ -242,22 +244,19 @@ def configuration_model_edges():
     return '{\n "cases": [\n' + ",\n".join(lines) + "\n ]\n}\n"
 
 
+def cut_column(text, name):
+    """CSV text without the column headed `name`."""
+    rows = [line.split(",") for line in text.splitlines()]
+    drop = rows[0].index(name)
+    return "".join(",".join(row[:drop] + row[drop + 1:]) + "\n" for row in rows)
+
+
 def records(spec, workers=1):
     """A sweep's records.csv with runtime_ms cut out."""
     outcome = run_sweep(spec, workers=workers)
     with tempfile.TemporaryDirectory() as out:
-        lines = emit_csv(outcome.records, [], Path(out))[0].read_text().splitlines()
-    drop = lines[0].split(",").index("runtime_ms")
-    return "".join(
-        ",".join(f for i, f in enumerate(line.split(",")) if i != drop) + "\n" for line in lines
-    )
-
-
-def desk_grid(node_counts, avg_degrees, mu_grid):
-    return SweepSpec(
-        node_counts, avg_degrees, gammas=(2.0,), betas=(2.0,), mu_grid=mu_grid,
-        replicates=1, master_seed=7,
-    )
+        text = emit_csv(outcome.records, [], Path(out))[0].read_text()
+    return cut_column(text, "runtime_ms")
 
 
 def pinned_check_records(directory):
@@ -274,8 +273,9 @@ def pinned_check_records(directory):
 def report():
     """The report path on the pinned check records: every r of
     `correlation_table` as `float.hex` (None stays None), the figure1 text
-    of every (n, avg_degree, gamma, beta) slice, and the figure2 text of
-    walktrap, louvain and infomap at every (n, gamma, beta)."""
+    of every (n, avg_degree, gamma, beta) slice, the figure2 text of
+    walktrap, louvain and infomap at every (n, gamma, beta), and the
+    summary.csv text with mean_runtime_ms cut out."""
     with tempfile.TemporaryDirectory() as out:
         records = pinned_check_records(out)
         table = {
@@ -299,24 +299,22 @@ def report():
             for algo in ("walktrap", "louvain", "infomap")
             for n, g, b in sorted({(n, g, b) for n, _, g, b in slices})
         }
-    return json_text({"correlation_table": table, "figure1": figure1, "figure2": figure2})
+        summary = cut_column(emit_csv([], summaries, out)[1].read_text(), "mean_runtime_ms")
+    return json_text({
+        "correlation_table": table, "figure1": figure1, "figure2": figure2, "summary_csv": summary,
+    })
 
 
 WRITERS = {
     "pinned_agglomeration.json": agglomeration,
     "pinned_check_records.csv": lambda workers=1: records(
-        SweepSpec.from_file(Path(__file__).parents[1] / "profiles" / "check.json"), workers
+        SweepSpec.from_file(CHECK_PROFILE), workers
     ),
     "pinned_configuration_model.json": configuration_model_edges,
     "pinned_description_length.json": description_lengths,
     "pinned_label_propagation.json": label_propagation,
     "pinned_local_moves.json": local_moves,
     "pinned_markov_cluster.json": markov_cluster,
-    # All nine detectors on n=100 units, and on one n=1000 unit, large
-    # enough that the merge engine's heap rebuild fires in fastgreedy and
-    # walktrap.
-    "pinned_records.csv": lambda: records(desk_grid((100,), (5.0, 15.0), (0.1, 0.7, 0.3))),
-    "pinned_records_n1000.csv": lambda: records(desk_grid((1000,), (15.0,), (0.4, 0.4, 0.1))),
     "pinned_removal_order.json": removal_order,
     "pinned_report.json": report,
 }

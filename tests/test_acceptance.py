@@ -21,16 +21,18 @@ from commbench.algorithms import (
     spinglass,
     walktrap,
 )
-from commbench.graph import Graph, Partition, connected_components
-from commbench.harness import SweepSpec, emit_csv, run_sweep, summarize
+from commbench.graph import Partition, connected_components
+from commbench.harness import SweepSpec, run_sweep, summarize
 from commbench.lfr import (
     LfrConfig,
     generate,
     mu_limit,
     sample_powerlaw_degrees,
 )
-from commbench.metrics import confusion, modularity, nmi, partition_nmi
+from commbench.metrics import modularity, partition_nmi
 
+import pins
+from conftest import random_graph
 from oracles import (
     all_partitions,
     confusion_direct,
@@ -237,14 +239,8 @@ def test_criterion_08_small_instance_optimality():
     rng = random.Random(808)
     graphs = []
     while len(graphs) < 200:
-        n = rng.randrange(3, 8)
-        p = rng.uniform(0.25, 0.9)
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-        ]
-        if not edges:
-            continue
-        g = Graph(n, edges)
+        # n >= 3, so an edgeless draw is not connected.
+        g = random_graph(rng.randrange(3, 8), rng.uniform(0.25, 0.9), rng)
         if connected_components(g).num_communities == 1:
             graphs.append(g)
     hits = {"louvain": 0, "fastgreedy": 0, "spinglass": 0}
@@ -262,7 +258,7 @@ def test_criterion_08_small_instance_optimality():
     report(8, passed, " ".join(f"{k}={v}/200" for k, v in hits.items()))
 
 
-def test_criterion_09_sweep_determinism(tmp_path):
+def test_criterion_09_sweep_determinism():
     """The same sweep run with 1 and 2 workers produces byte-identical
     records.csv.
 
@@ -279,23 +275,7 @@ def test_criterion_09_sweep_determinism(tmp_path):
         algorithms=("louvain", "label_propagation", "markov_cluster"),
         master_seed=909,
     )
-    texts = []
-    for workers, tag in ((1, "serial"), (2, "parallel")):
-        outcome = run_sweep(spec, workers=workers)
-        records_path, _ = emit_csv(
-            outcome.records, summarize(outcome.records), tmp_path / tag
-        )
-        texts.append(records_path.read_text())
-
-    def drop_runtime(text):
-        lines = text.strip().split("\n")
-        idx = lines[0].split(",").index("runtime_ms")
-        return [
-            ",".join(line.split(",")[:idx] + line.split(",")[idx + 1:])
-            for line in lines
-        ]
-
-    serial, parallel = drop_runtime(texts[0]), drop_runtime(texts[1])
+    serial, parallel = (pins.records(spec, workers).splitlines() for workers in (1, 2))
     passed = serial == parallel and len(serial) == 13
     report(9, passed, f"{len(serial) - 1} records identical across worker counts")
 

@@ -47,7 +47,7 @@ from commbench.lfr import LfrConfig, generate
 from commbench.metrics import modularity, partition_nmi
 
 import pins
-from conftest import clique_edges, make_clique_pair, make_ring_of_triangles
+from conftest import clique_edges, make_clique_pair, random_graph, ring_of_cliques
 from oracles import (
     connected_partitions,
     fastgreedy_direct,
@@ -90,21 +90,9 @@ WALKTRAP_LFR = [
 
 
 def sparse_graph_with_isolated_nodes(n, p, seed):
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    g = Graph(n, edges)
+    g = random_graph(n, p, random.Random(seed))
     assert 0 in g.degrees()
     return g
-
-
-def ring_of_cliques(sizes):
-    """Cliques of the given sizes, each joined to the next by one edge."""
-    edges = []
-    starts = np.cumsum([0] + list(sizes)).tolist()
-    for i, size in enumerate(sizes):
-        edges += clique_edges(range(starts[i], starts[i] + size))
-        edges.append((starts[i] + size - 1, starts[(i + 1) % len(sizes)]))
-    return Graph(starts[-1], edges)
 
 
 def cliques_with_tree(seed):
@@ -139,14 +127,9 @@ def caterpillar(spine, legs):
 
 
 def random_connected_graph(n, rng):
+    """G(n, p) draws at p ~ U(0.25, 0.7) until one is connected (n >= 2)."""
     while True:
-        p = rng.uniform(0.25, 0.7)
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-        ]
-        if not edges:
-            continue
-        g = Graph(n, edges)
+        g = random_graph(n, rng.uniform(0.25, 0.7), rng)
         if connected_components(g).num_communities == 1:
             return g
 

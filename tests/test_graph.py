@@ -18,12 +18,7 @@ from commbench.graph import (
 from commbench.lfr import LfrConfig, generate
 from commbench.metrics import modularity
 
-from conftest import clique_edges, make_clique_pair
-
-
-def random_graph(n, p, rng):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+from conftest import clique_edges, random_graph
 
 
 class TestGraphConstruction:

@@ -13,6 +13,7 @@ from commbench.harness import (
     CellSummary,
     RunRecord,
     SweepSpec,
+    _fmt,
     correlation_table,
     derive_seed,
     emit_csv,
@@ -48,17 +49,6 @@ def make_record(**overrides):
     )
     base.update(overrides)
     return RunRecord(**base)
-
-
-def strip_runtime(csv_text):
-    """Drop the wall-clock column; everything else must be byte-stable."""
-    lines = csv_text.strip().split("\n")
-    idx = lines[0].split(",").index("runtime_ms")
-    out = []
-    for line in lines:
-        parts = line.split(",")
-        out.append(",".join(parts[:idx] + parts[idx + 1:]))
-    return "\n".join(out)
 
 
 class TestSweepSpec:
@@ -293,23 +283,11 @@ class TestRunSweep:
         assert len(outcome.records) == 1 * 2 * 3
         assert not outcome.skipped
 
-    def test_rerun_identical_but_for_runtime(self, tmp_path):
-        first = run_sweep(SMALL_SPEC)
-        second = run_sweep(SMALL_SPEC)
-        emit_csv(first.records, summarize(first.records), tmp_path / "a")
-        emit_csv(second.records, summarize(second.records), tmp_path / "b")
-        text_a = (tmp_path / "a" / "records.csv").read_text()
-        text_b = (tmp_path / "b" / "records.csv").read_text()
-        assert strip_runtime(text_a) == strip_runtime(text_b)
+    def test_rerun_identical_but_for_runtime(self):
+        assert pins.records(SMALL_SPEC) == pins.records(SMALL_SPEC)
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
-        serial = run_sweep(SMALL_SPEC, workers=1)
-        parallel = run_sweep(SMALL_SPEC, workers=2)
-        emit_csv(serial.records, summarize(serial.records), tmp_path / "s")
-        emit_csv(parallel.records, summarize(parallel.records), tmp_path / "p")
-        assert strip_runtime((tmp_path / "s" / "records.csv").read_text()) == strip_runtime(
-            (tmp_path / "p" / "records.csv").read_text()
-        )
+    def test_worker_count_does_not_change_results(self):
+        assert pins.records(SMALL_SPEC, workers=1) == pins.records(SMALL_SPEC, workers=2)
 
     def test_record_cell_key_is_its_cells_key(self):
         spec = SweepSpec(
@@ -582,16 +560,26 @@ class TestEmitPlotData:
 
 
 class TestPinnedRecords:
-    """A fixed-seed sweep of all nine detectors reproduces a checked-in
-    records.csv (runtime_ms cut out), byte for byte."""
+    """A fixed-seed sweep of all nine detectors reproduces the checked-in
+    records.csv of the check grid (runtime_ms cut out), byte for byte."""
 
-    def test_records_match_pinned_file(self):
-        name = "pinned_records.csv"
-        assert pins.WRITERS[name]() == pins.pinned(name)
-
-    def test_n1000_records_match_pinned_file(self):
-        name = "pinned_records_n1000.csv"
-        assert pins.WRITERS[name]() == pins.pinned(name)
+    # Slices of the check grid: all nine detectors on n=100 units, and on
+    # one n=1000 unit, large enough that the merge engine's heap rebuild
+    # fires in fastgreedy and walktrap.
+    @pytest.mark.parametrize("grid", [
+        pytest.param(dict(node_counts=(100,), avg_degrees=(5.0, 15.0)), id="n100"),
+        pytest.param(
+            dict(node_counts=(1000,), avg_degrees=(15.0,), mu_grid=(0.4, 0.4, 0.1)), id="n1000"
+        ),
+    ])
+    def test_slice_matches_pinned_rows(self, grid):
+        check = SweepSpec.from_file(pins.CHECK_PROFILE)
+        spec = dataclasses.replace(check, gammas=(2.0,), betas=(2.0,), **grid)
+        # A row's columns 2-7 are its cell's fields, as `emit_csv` writes them.
+        cells = {tuple(map(_fmt, dataclasses.astuple(cell))) for cell in spec.cells()}
+        header, *rows = pins.pinned("pinned_check_records.csv").splitlines(keepends=True)
+        want = header + "".join(row for row in rows if tuple(row.split(",")[1:7]) in cells)
+        assert pins.records(spec) == want
 
     @pytest.mark.acceptance
     @pytest.mark.parametrize("workers", [1, 2])

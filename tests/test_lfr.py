@@ -32,6 +32,7 @@ from commbench.lfr import (
 from commbench.metrics import measured_mixing, partition_nmi
 
 import pins
+from conftest import ring_of_cliques
 from oracles import (
     assign_direct,
     configuration_direct,
@@ -454,18 +455,6 @@ def _skeleton(config, seed):
     return skeleton, planted, resolved, rng
 
 
-def _ring_of_cliques(count, size):
-    """`count` cliques of `size` nodes, consecutive ones joined by one edge
-    into a ring; the planted partition is the cliques."""
-    edges = []
-    for c in range(count):
-        nodes = range(c * size, (c + 1) * size)
-        edges += [(u, v) for u in nodes for v in nodes if u < v]
-        edges.append(((c + 1) * size - 1, ((c + 1) * size) % (count * size)))
-    membership = [v // size for v in range(count * size)]
-    return Graph(count * size, edges), Partition(membership)
-
-
 def _rewire_both(graph, planted, config, state, make_rng=_from_state):
     """Run `rewire_to_mixing` and the scalar-draw oracle from the same
     generator state, check that both leave the generator in the same
@@ -554,7 +543,7 @@ class TestRewireMatchesScalarOracle:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_increasing_branch_from_ring_of_cliques(self, seed):
-        graph, planted = _ring_of_cliques(12, 8)
+        graph, planted = ring_of_cliques([8] * 12), Partition([v // 8 for v in range(96)])
         assert measured_mixing(graph, planted).per_node < 0.05
         config = LfrConfig(n=96, avg_degree=7, max_degree=8, gamma=3.0, beta=2.0, mu=0.4)
         state = np.random.default_rng(seed).bit_generator.state

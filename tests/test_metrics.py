@@ -17,6 +17,7 @@ from commbench.metrics import (
     pearson,
 )
 
+from conftest import random_graph
 from oracles import (
     all_partitions,
     confusion_direct,
@@ -143,17 +144,10 @@ class TestModularity:
     def test_matches_direct_definition(self):
         rng = random.Random(13)
         for _ in range(20):
-            n = rng.randrange(2, 12)
-            edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.5
-            ]
-            if not edges:
+            g = random_graph(rng.randrange(2, 12), 0.5, rng)
+            if not g.edge_count:
                 continue
-            g = Graph(n, edges)
-            part = Partition.from_labels([rng.randrange(3) for _ in range(n)])
+            part = Partition.from_labels([rng.randrange(3) for _ in range(g.node_count)])
             assert modularity(g, part) == pytest.approx(
                 modularity_direct(g, part), abs=1e-12
             )
@@ -175,12 +169,10 @@ class TestModularity:
         # does the quotient of a quotient under the composed partition.
         rng = random.Random(17)
         for _ in range(20):
-            n = rng.randrange(2, 15)
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-            if not edges:
+            g = random_graph(rng.randrange(2, 15), 0.4, rng)
+            if not g.edge_count:
                 continue
-            g = Graph(n, edges)
-            fine = Partition.from_labels([rng.randrange(5) for _ in range(n)])
+            fine = Partition.from_labels([rng.randrange(5) for _ in range(g.node_count)])
             q = quotient_graph(g, fine)
             assert singleton_modularity_direct(q) == pytest.approx(
                 modularity(g, fine), abs=1e-12
@@ -236,17 +228,10 @@ class TestMeasuredMixing:
     def test_range_and_zero_condition(self):
         rng = random.Random(23)
         for _ in range(15):
-            n = rng.randrange(2, 15)
-            edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.4
-            ]
-            if not edges:
+            g = random_graph(rng.randrange(2, 15), 0.4, rng)
+            if not g.edge_count:
                 continue
-            g = Graph(n, edges)
-            part = Partition.from_labels([rng.randrange(3) for _ in range(n)])
+            part = Partition.from_labels([rng.randrange(3) for _ in range(g.node_count)])
             report = measured_mixing(g, part)
             assert 0.0 <= report.per_node <= 1.0
             member = part.membership
