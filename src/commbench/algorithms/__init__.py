@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..checked import Checked
+
 
 class ConvergenceWarning(UserWarning):
     """An iterative stage hit its cap before reaching its stopping rule."""
@@ -21,7 +23,7 @@ def _require_edges(graph):
 
 
 @dataclass(frozen=True)
-class AlgoParams:
+class AlgoParams(Checked):
     """Tuning knobs shared by the algorithm suite; every stochastic
     algorithm draws all of its randomness from `seed`."""
 
@@ -41,19 +43,13 @@ class AlgoParams:
     lp_max_rounds: int = 100
     seed: int = 0
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self):
         for name, least in (
             ("walktrap_t", 1), ("eigen_max_iterations", 1), ("spinglass_max_spins", 1),
             ("sa_sweeps_per_temperature", 1), ("lp_max_rounds", 1),
             ("mcl_max_iterations", 1), ("mcl_expansion", 2), ("seed", 0),
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, not {value!r}")
-            if value < least:
+            if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
         if self.mcl_inflation <= 1.0:
             raise ValueError("mcl_inflation must be > 1")

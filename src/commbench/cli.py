@@ -7,12 +7,12 @@ import argparse
 import json
 import sys
 import time
-import typing
 import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .algorithms import ALGORITHMS, AlgoParams
+from .checked import field_kinds
 from .graph import read_edge_list, read_membership, write_edge_list, write_membership
 from .harness import (
     CellSummary,
@@ -35,9 +35,8 @@ def _add_field_flags(parser, cls, **aliases):
     """Add one typed --field-name flag per field of dataclass `cls`: bools
     are switches, fields without a default are required, and `aliases`
     maps a field name to further spellings of its flag."""
-    hints = typing.get_type_hints(cls)
     for f in fields(cls):
-        kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]  # int | None -> int
+        kind = field_kinds(cls)[f.name][0]
         flags = ["--" + f.name.replace("_", "-"), *aliases.get(f.name, ())]
         if kind is bool:
             parser.add_argument(*flags, dest=f.name, action="store_true", default=None)
@@ -87,9 +86,8 @@ def _build_parser():
     rep.add_argument("--out", required=True)
     rep.add_argument("--figure1", action="store_true")
     rep.add_argument("--figure2", metavar="ALGORITHM")
-    column_types = typing.get_type_hints(CellSummary)
     for name in _PLOT_SLICES:
-        rep.add_argument("--" + name.replace("_", "-"), type=column_types[name])
+        rep.add_argument("--" + name.replace("_", "-"), type=field_kinds(CellSummary)[name][0])
     return parser
 
 

@@ -8,18 +8,17 @@ results are byte-identical regardless of worker count or scheduling.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import time
-import typing
 import warnings
 from dataclasses import astuple, asdict, dataclass, field, fields
 from multiprocessing import Pool
 from pathlib import Path
 
 from .algorithms import ALGORITHMS, AlgoParams, ConvergenceWarning
+from .checked import Checked, field_kinds
 from .graph import write_edge_list, write_membership
 from .lfr import LfrConfig, MixingToleranceWarning, generate
 from .metrics import modularity, partition_nmi, pearson
@@ -61,7 +60,7 @@ class Cell:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Checked):
     """Grid definition: every combination of the parameter lists times the
     mu grid, `replicates` networks per combination."""
 
@@ -76,9 +75,6 @@ class SweepSpec:
     master_seed: int = 0
     output_dir: str | None = None
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self):
         if len(self.mu_grid) != 3:
             raise ValueError(f"mu_grid must be (start, stop, step), got {self.mu_grid}")
@@ -92,8 +88,6 @@ class SweepSpec:
             values = self.mu_values() if name == "mu_grid" else getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must not be empty")
-            if name in ("avg_degrees", "gammas", "betas") and not all(map(math.isfinite, values)):
-                raise ValueError(f"{name} must be finite, got {values}")
             # As Cell.key shows them: values equal to 6 significant digits
             # would share a cell key, and so a seed and a summary row.
             if len(set(map(_fmt, values))) != len(values):
@@ -103,10 +97,9 @@ class SweepSpec:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}; known: {sorted(ALGORITHMS)}")
-        factor = self.max_degree_factor
-        if not 0 < factor < math.inf:
-            raise ValueError(f"max_degree_factor must be positive and finite, got {factor}")
-        if not math.isfinite(factor * max(map(abs, self.avg_degrees))):
+        if self.max_degree_factor <= 0:
+            raise ValueError(f"max_degree_factor must be positive, got {self.max_degree_factor}")
+        if not math.isfinite(self.max_degree_factor * max(map(abs, self.avg_degrees))):
             raise ValueError("max_degree_factor times an avg_degrees value overflows")
 
     def mu_values(self):
@@ -134,10 +127,10 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
-        """Read a spec from a JSON object of field names and values; a list
-        for each tuple field, a single value for the others."""
+        """Read a spec from a JSON object of field names and values: a list for each
+        tuple field, a single value for the others; `3.0` reads as the int 3."""
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(), parse_float=_json_number)
         except json.JSONDecodeError as err:
             raise ValueError(f"sweep spec is not JSON: {err}") from None
         if not isinstance(raw, dict):
@@ -145,45 +138,12 @@ class SweepSpec:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown sweep spec keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
-        kwargs = {}
-        for name, value in raw.items():
-            hint = hints[name]
-            # tuple[int, ...] -> int, str | None -> str, int -> int
-            kind = (typing.get_args(hint) or (hint,))[0]
-            try:
-                if value is None and type(None) in typing.get_args(hint):
-                    kwargs[name] = None
-                elif typing.get_origin(hint) is tuple:
-                    if not isinstance(value, list):
-                        raise ValueError(f"expected a list, got {value!r}")
-                    kwargs[name] = tuple(_spec_value(kind, v) for v in value)
-                else:
-                    kwargs[name] = _spec_value(kind, value)
-            except ValueError as err:
-                raise ValueError(f"sweep spec key {name!r}: {err}") from None
-        return cls(**kwargs)
+        return cls(**raw)
 
 
-def _spec_value(kind, value):
-    """`value` as `kind`, refusing what the conversion would change without
-    a word: anything but a number where a number is expected (bools
-    included), a float with a fraction where an int is, and a non-string
-    where a string is."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (isinstance(value, str) if kind is str else number):
-        raise ValueError(f"expected {kind.__name__}, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:
-        raise ValueError(f"expected {kind.__name__}, got an integer too large for it") from None
-
-
-@functools.cache
-def _float_fields(cls):
-    return tuple(name for name, kind in typing.get_type_hints(cls).items() if kind is float)
+def _json_number(text):
+    value = float(text)
+    return int(value) if value.is_integer() else value
 
 
 @dataclass(frozen=True)
@@ -200,8 +160,9 @@ class CellColumns:
     mu_target: float
 
     def __post_init__(self):
-        for name in _float_fields(type(self)):
-            object.__setattr__(self, name, _sig6(getattr(self, name)))
+        for name, (kind, _, _) in field_kinds(type(self)).items():
+            if kind is float:
+                object.__setattr__(self, name, _sig6(getattr(self, name)))
 
     def cell_key(self):
         grid = (self.n, self.avg_degree, self.max_degree, self.gamma, self.beta, self.mu_target)
@@ -231,7 +192,7 @@ class RunRecord(CellColumns):
 
 
 #: records.csv column -> type, in column order (stable contract).
-_RECORD_FIELDS = typing.get_type_hints(RunRecord)
+_RECORD_FIELDS = field_kinds(RunRecord)
 RECORD_COLUMNS = tuple(_RECORD_FIELDS)
 
 
@@ -439,7 +400,7 @@ def parse_records_csv(path) -> list:
                 )
             kwargs = {}
             for col, value in zip(RECORD_COLUMNS, parts):
-                kind = _RECORD_FIELDS[col]
+                kind = _RECORD_FIELDS[col][0]
                 try:
                     kwargs[col] = kind(value)
                 except ValueError:

@@ -20,6 +20,7 @@ from operator import length_hint
 
 import numpy as np
 
+from .checked import Checked
 from .graph import Graph, Partition, node_lists
 from .metrics import measured_mixing
 
@@ -30,7 +31,7 @@ class MixingToleranceWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class LfrConfig:
+class LfrConfig(Checked):
     """Generation parameters.
 
     Community-size bounds left as None are resolved from the degree
@@ -52,9 +53,6 @@ class LfrConfig:
     seed: int = 0
     allow_mu_beyond_limit: bool = False
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must be in (0,1), got {self.mu}")
@@ -75,14 +73,15 @@ class LfrConfig:
                     f"need 1 <= min_community <= max_community <= n, got "
                     f"[{self.min_community}, {self.max_community}], n={self.n}"
                 )
-        if self.mixing_tolerance <= 0:
-            raise ValueError("mixing_tolerance must be positive")
+        # |realized mu - mu| < 1 always, so a tolerance of 1 or more skips rewiring.
+        if not 0.0 < self.mixing_tolerance < 1.0:
+            raise ValueError(f"mixing_tolerance must be in (0,1), got {self.mixing_tolerance}")
         if self.max_rewire_iterations is not None and self.max_rewire_iterations < 1:
             raise ValueError(
                 f"max_rewire_iterations must be >= 1 (or None for 50*m), "
                 f"got {self.max_rewire_iterations}"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
     def with_resolved_bounds(self, k_min: int) -> "LfrConfig":

@@ -170,42 +170,6 @@ class TestAlgoParams:
         with pytest.raises(ValueError, match=field):
             ALGORITHMS[name](two_five_cliques, AlgoParams(**{field: 0}))
 
-    @pytest.mark.parametrize(
-        "field",
-        [
-            "walktrap_t", "eigen_max_iterations", "spinglass_max_spins",
-            "sa_sweeps_per_temperature", "lp_max_rounds", "mcl_max_iterations",
-            "mcl_expansion",
-        ],
-    )
-    def test_rejects_count_that_is_not_an_int(self, field):
-        AlgoParams(**{field: 3}).validate()
-        for value in (3.0, 2.5, True, "3"):
-            with pytest.raises(ValueError, match=f"{field} must be an int"):
-                AlgoParams(**{field: value}).validate()
-
-    @pytest.mark.parametrize(
-        "name, field, value",
-        [
-            ("markov_cluster", "mcl_expansion", 2.0),
-            ("markov_cluster", "mcl_max_iterations", 3.0),
-            ("walktrap", "walktrap_t", 2.0),
-            ("label_propagation", "lp_max_rounds", 2.5),
-            ("spinglass", "spinglass_max_spins", 5.0),
-        ],
-    )
-    def test_detector_rejects_float_count(self, two_five_cliques, name, field, value):
-        with pytest.raises(ValueError, match=field):
-            ALGORITHMS[name](two_five_cliques, AlgoParams(**{field: value}))
-
-    def test_seed_must_be_a_non_negative_int(self):
-        assert AlgoParams(seed=0).seed == 0
-        with pytest.raises(ValueError, match="^seed must be >= 0$"):
-            AlgoParams(seed=-1)
-        for value in (1.5, 2.0, True, "3", None):
-            with pytest.raises(ValueError, match="^seed must be an int, not "):
-                AlgoParams(seed=value)
-
 
 class TestRadetal:
     def test_disjoint_cliques(self, two_five_cliques):

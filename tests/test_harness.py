@@ -1,9 +1,12 @@
 import dataclasses
+import math
+import re
 import statistics
 from pathlib import Path
 
 import pytest
 
+from commbench.algorithms import AlgoParams
 from commbench.graph import read_edge_list, read_membership
 from commbench.harness import (
     RECORD_COLUMNS,
@@ -22,6 +25,7 @@ from commbench.harness import (
     run_sweep,
     summarize,
 )
+from commbench.lfr import LfrConfig
 from commbench.metrics import partition_nmi
 
 import pins
@@ -49,6 +53,48 @@ def make_record(**overrides):
     )
     base.update(overrides)
     return RunRecord(**base)
+
+
+# What a field refuses, by the kind its type hint names (None too, unless
+# the hint allows it), and how the refusal names that kind.
+REFUSED = {
+    "int": ("an int", [2.5, 2.0, True, "3", math.inf]),
+    "float": ("a finite float", [math.nan, math.inf, -math.inf, True, "3", 10**400]),
+    "str": ("a string", [5, True]),
+    "bool": ("a bool", [1, "yes"]),
+}
+VALID = [
+    LfrConfig(n=120, avg_degree=6.0, max_degree=18, gamma=3.0, beta=2.0, mu=0.1),
+    AlgoParams(),
+    SweepSpec(),
+]
+
+
+def wrong_kinds():
+    """Each field of the three parameter classes with each value it
+    refuses; a tuple field gets each as an item after a valid one, then
+    values that are not a list."""
+    for valid in VALID:
+        for f in dataclasses.fields(valid):
+            kind = f.type.removesuffix(" | None")
+            item = kind.removeprefix("tuple[").removesuffix(", ...]")
+            phrase, refused = REFUSED[item]
+            refused = refused + [None] * (kind == f.type)
+            if item == kind:
+                cases = [(v, f"{f.name} must be {phrase}") for v in refused]
+            else:
+                first = getattr(valid, f.name)[0]
+                cases = [((first, v), f"{f.name}[1] must be {phrase}") for v in refused]
+                cases += [(v, f"{f.name} must be a list") for v in (first, "ab", None)]
+            for value, message in cases:
+                yield pytest.param(valid, f.name, value, message,
+                                   id=f"{type(valid).__name__}.{f.name}={value!r:.12}")
+
+
+@pytest.mark.parametrize("valid, name, value, message", wrong_kinds())
+def test_field_of_wrong_kind_refused(valid, name, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got "):
+        dataclasses.replace(valid, **{name: value})
 
 
 class TestSweepSpec:
@@ -131,18 +177,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=r"^mu_grid takes more than 10000 steps: "):
             SweepSpec(mu_grid=(0.05, 0.95, step))
 
-    @pytest.mark.parametrize("key, value", [
-        ("max_degree_factor", float("inf")),
-        ("max_degree_factor", float("nan")),
-        ("max_degree_factor", -1.0),
-        ("avg_degrees", (5.0, float("inf"))),
-        ("avg_degrees", (float("nan"),)),
-        ("gammas", (float("-inf"),)),
-        ("betas", (2.0, float("nan"))),
-    ])
-    def test_non_finite_numbers_rejected(self, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be "):
-            SweepSpec(**{key: value})
+    @pytest.mark.parametrize("factor", [-1.0, 0.0])
+    def test_max_degree_factor_must_be_positive(self, factor):
+        with pytest.raises(ValueError, match=f"^max_degree_factor must be positive, got {factor}$"):
+            SweepSpec(max_degree_factor=factor)
 
     def test_max_degree_that_overflows_rejected(self):
         with pytest.raises(ValueError, match="^max_degree_factor times an avg_degrees value overflows"):
@@ -209,17 +247,17 @@ class TestSweepSpec:
     def test_value_of_wrong_type_names_its_key(self, tmp_path, text, key):
         path = tmp_path / "spec.json"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"^sweep spec key '{key}': "):
+        with pytest.raises(ValueError, match=rf"^{key}(\[\d\])? must be "):
             SweepSpec.from_file(path)
 
     @pytest.mark.parametrize("text, message", [
-        ('{"max_degree_factor": 1e999}', "max_degree_factor must be positive and finite, got inf"),
-        ('{"max_degree_factor": NaN}', "max_degree_factor must be positive and finite, got nan"),
+        ('{"max_degree_factor": 1e999}', "max_degree_factor must be a finite float, got inf"),
+        ('{"max_degree_factor": NaN}', "max_degree_factor must be a finite float, got nan"),
         ('{"max_degree_factor": 1' + "0" * 400 + "}",
-         "sweep spec key 'max_degree_factor': expected float, got an integer too large for it"),
+         f"max_degree_factor must be a finite float, got {10**400}"),
         ('{"avg_degrees": [5, 1' + "0" * 400 + "]}",
-         "sweep spec key 'avg_degrees': expected float, got an integer too large for it"),
-        ('{"gammas": [2, Infinity]}', "gammas must be finite, got (2.0, inf)"),
+         f"avg_degrees[1] must be a finite float, got {10**400}"),
+        ('{"gammas": [2, Infinity]}', "gammas[1] must be a finite float, got inf"),
     ], ids=["inf", "nan", "huge-int", "huge-int-in-list", "infinity"])
     def test_numbers_a_float_cannot_hold_rejected(self, tmp_path, text, message):
         path = tmp_path / "spec.json"
@@ -368,6 +406,7 @@ class TestSummarize:
         ]
         summary = summarize(records)[0]
         assert summary.mean_nmi == 0.5
+        assert summary.std_nmi == pytest.approx(statistics.pstdev([0.4, 0.6]), rel=1e-12)
         assert summary.runs == 2
 
     def test_mean_within_member_range(self):
