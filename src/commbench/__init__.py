@@ -9,7 +9,6 @@ from .graph import (
     Graph,
     Partition,
     connected_components,
-    edge_triangle_count,
     quotient_graph,
     read_edge_list,
     read_membership,

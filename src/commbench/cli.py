@@ -8,7 +8,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from .algorithms import ALGORITHMS, AlgoParams
@@ -50,8 +50,18 @@ def _from_flags(cls, args):
     return cls(**{f.name: v for f in fields(cls) if (v := getattr(args, f.name)) is not None})
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its usage errors (a value that does
+    not parse, an unknown choice, a missing flag) as ValueError, so `main`
+    reports them as one line like every other bad input; its subparsers
+    share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="commbench",
         description="Community-detection benchmark toolkit",
     )
@@ -98,16 +108,7 @@ def _cmd_generate(args):
     write_edge_list(net.graph, f"{prefix}.edges")
     write_membership(net.planted, f"{prefix}.membership")
     meta = {
-        "n": net.config.n,
-        "avg_degree": net.config.avg_degree,
-        "max_degree": net.config.max_degree,
-        "gamma": net.config.gamma,
-        "beta": net.config.beta,
-        "mu_target": net.config.mu,
-        "min_community": net.config.min_community,
-        "max_community": net.config.max_community,
-        "mixing_tolerance": net.config.mixing_tolerance,
-        "seed": net.config.seed,
+        **asdict(net.config),
         "realized_mu": net.realized_mu,
         "realized_mu_global": net.realized_mu_global,
         "mu_limit": net.mu_limit,
@@ -202,7 +203,6 @@ def _cmd_report(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     handlers = {
         "generate": _cmd_generate,
         "detect": _cmd_detect,
@@ -211,6 +211,7 @@ def main(argv=None):
         "report": _cmd_report,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

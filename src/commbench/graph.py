@@ -95,22 +95,8 @@ class Graph:
         """The row (source node) of each entry of `indices`."""
         return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
 
-    def _row_bounds(self, node):
-        if not 0 <= node < len(self.indptr) - 1:
-            raise ValueError(f"node {node} out of range for n={self.node_count}")
-        return self.indptr[node], self.indptr[node + 1]
-
-    def degree(self, node):
-        start, stop = self._row_bounds(node)
-        return int(stop - start)
-
     def degrees(self):
         return np.diff(self.indptr).tolist()
-
-    def neighbors(self, node):
-        """Adjacent nodes in increasing id order, self excluded."""
-        start, stop = self._row_bounds(node)
-        return self.indices[start:stop].tolist()
 
     @property
     def row_view(self):
@@ -202,13 +188,6 @@ class Partition:
     def node_count(self):
         return len(self._membership)
 
-    def communities(self):
-        """Communities as lists of node ids, indexed by community id."""
-        out = [[] for _ in self._sizes]
-        for v, cid in enumerate(self._membership):
-            out[cid].append(v)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self._membership == other._membership
 
@@ -217,14 +196,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition(n={len(self._membership)}, c={len(self._sizes)})"
-
-
-def edge_triangle_count(graph, u, v):
-    """Number of triangles containing the edge {u, v} (= common neighbors)."""
-    around_u = set(graph.neighbors(u))
-    if v not in around_u:
-        raise ValueError(f"({u},{v}) is not an edge")
-    return len(around_u.intersection(graph.neighbors(v)))
 
 
 def connected_components(graph) -> Partition:
@@ -254,15 +225,11 @@ def quotient_graph(graph, partition) -> Graph:
     return Graph._from_entries(c, rows[cross], cols[cross], graph.weights[cross], self_loops)
 
 
-def read_edge_list(path, node_count=None):
-    """Read a graph from text: one edge per line, two whitespace-separated
-    0-based node ids; lines starting with '#' are ignored.
-
-    node_count defaults to max id + 1; pass it explicitly when trailing
-    nodes are isolated.
-    """
-    edges = []
-    max_id = -1
+def _read_pairs(path, what):
+    """The (first, second) int pairs of a text file, read from the first
+    two whitespace-separated fields of each line; blank lines and lines
+    starting with '#' are skipped. The inverse of `_write_pairs`."""
+    pairs = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -270,11 +237,21 @@ def read_edge_list(path, node_count=None):
                 continue
             parts = line.split()
             if len(parts) < 2:
-                raise ValueError(f"malformed edge line: {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            edges.append((u, v))
-            max_id = max(max_id, u, v)
+                raise ValueError(f"malformed {what} line: {line!r}")
+            pairs.append((int(parts[0]), int(parts[1])))
+    return pairs
+
+
+def read_edge_list(path, node_count=None):
+    """Read a graph from text: one edge per line, two whitespace-separated
+    0-based node ids; lines starting with '#' are ignored.
+
+    node_count defaults to max id + 1; pass it explicitly when trailing
+    nodes are isolated.
+    """
+    edges = _read_pairs(path, "edge")
     if node_count is None:
+        max_id = max(map(max, edges), default=-1)
         if max_id < 0:
             raise ValueError("empty edge list and no node_count given")
         node_count = max_id + 1
@@ -298,16 +275,7 @@ def write_edge_list(graph, path):
 
 def read_membership(path):
     """Read a partition from text: one "node-id community-id" line per node."""
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"malformed membership line: {line!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
+    pairs = _read_pairs(path, "membership")
     if not pairs:
         raise ValueError("empty membership file")
     if any(v < 0 for v, _ in pairs):

@@ -18,6 +18,12 @@ from commbench.graph import Graph, Partition
 from commbench.lfr import MixingToleranceWarning, _fit_shortfall, internal_stub_count
 
 
+def communities(partition):
+    """Node lists in increasing id order, indexed by community id."""
+    member = partition.membership
+    return [[v for v, c in enumerate(member) if c == cid] for cid in range(partition.num_communities)]
+
+
 def nmi_direct(counts):
     """Term-by-term NMI evaluation from a confusion matrix given as nested
     lists, with 0*log(0) taken as 0."""
@@ -58,11 +64,12 @@ def modularity_direct(graph, partition):
     """Q from its definition: per community, intra-edge fraction minus the
     squared half-degree fraction."""
     m = graph.edge_count
+    degrees = graph.degrees()
     q = 0.0
-    for nodes in partition.communities():
+    for nodes in communities(partition):
         node_set = set(nodes)
         l_c = sum(1 for u, v in graph.edges if u in node_set and v in node_set)
-        d_c = sum(graph.degree(v) for v in nodes)
+        d_c = sum(degrees[v] for v in nodes)
         q += l_c / m - (d_c / (2 * m)) ** 2
     return q
 
@@ -210,7 +217,7 @@ def spinglass_direct(graph, params):
     n = graph.node_count
     m = graph.edge_count
     q_spins = min(params.spinglass_max_spins, n)
-    adj = [graph.neighbors(v) for v in range(n)]
+    adj = graph.row_view
     spins = [rng.randrange(q_spins) for _ in range(n)]
     d_sum = [0.0] * q_spins
     for v in range(n):
@@ -364,7 +371,7 @@ def connected_partitions(graph):
     equation) optimum is always among them.
     """
     n = graph.node_count
-    adj = [set(graph.neighbors(v)) for v in range(n)]
+    adj = [set(row) for row in graph.row_view]
 
     def connected_subsets_containing(v, allowed):
         # Classic enumeration with an exclusion set: each recursive call
@@ -462,8 +469,8 @@ def map_equation_direct(graph, partition):
     given partition, evaluated straight from its defining entropies."""
     m = graph.edge_count
     member = partition.membership
-    p_node = [graph.degree(v) / (2 * m) for v in range(graph.node_count)]
-    modules = partition.communities()
+    p_node = [d / (2 * m) for d in graph.degrees()]
+    modules = communities(partition)
     q_exit = []
     for nodes in modules:
         node_set = set(nodes)

@@ -34,6 +34,8 @@ class TestGenerateCommand:
         assert planted.node_count == 120
         assert meta["n"] == 120
         assert meta["seed"] == 4
+        assert meta["mu"] == 0.1
+        assert {f.name for f in dataclasses.fields(LfrConfig)} <= meta.keys()
         assert abs(meta["realized_mu"] - 0.1) <= meta["mixing_tolerance"]
         assert 0 < meta["mu_limit"] <= 1
         assert "realized_mu_global" in meta
@@ -97,10 +99,9 @@ class TestGenerateCommand:
         for name, value in REQUIRED_LFR_FIELDS.items():
             if name != missing:
                 argv += ["--" + name.replace("_", "-"), str(value)]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        assert "--" + missing.replace("_", "-") in capsys.readouterr().err
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the following arguments are required: --{missing.replace('_', '-')}\n"
 
 
 class TestDetectCommand:
@@ -184,13 +185,11 @@ class TestDetectCommand:
             assert type(getattr(params, name)) is type(value), name
 
     def test_infomap_anneal_flag_is_gone(self, generated, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main([
-                "detect", "--edges", f"{generated}.edges", "--node-count", "120",
-                "--algorithm", "infomap", "--infomap-anneal", "--out", str(tmp_path / "p"),
-            ])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --infomap-anneal" in capsys.readouterr().err
+        assert main([
+            "detect", "--edges", f"{generated}.edges", "--node-count", "120",
+            "--algorithm", "infomap", "--infomap-anneal", "--out", str(tmp_path / "p"),
+        ]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --infomap-anneal\n"
 
 
 class TestScoreCommand:
@@ -317,6 +316,30 @@ class TestErrorLine:
         ]
         self.check(argv, message, capsys)
         assert not list(tmp_path.iterdir())
+
+    # argparse's own refusals: a value that does not parse, an unknown
+    # choice and a missing flag.
+    @pytest.mark.parametrize("argv, message", [
+        ("generate --n 120 --avg-degree 6 --max-degree 18 --gamma abc --beta 2 --mu 0.1 "
+         "--out {tmp}/net", "argument --gamma: invalid float value: 'abc'"),
+        ("detect --edges {net}.edges --algorithm louvian --out {tmp}/found.membership",
+         "argument --algorithm: invalid choice: 'louvian' (choose from "),
+        ("score --edges {net}.edges --actual {net}.membership",
+         "the following arguments are required: --estimated"),
+    ], ids=["float", "choice", "required"])
+    def test_argument_refused_by_parser(self, generated, tmp_path, capsys, argv, message):
+        argv = argv.format(net=generated, tmp=tmp_path).split()
+        self.check(argv, message, capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "net.edges", "net.json", "net.membership",
+        ]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["generate", "--help"]], ids=["top", "generate"])
+    def test_help_is_not_an_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: commbench")
 
     def test_detect_with_infinite_start_temperature(self, generated, tmp_path, capsys):
         # From an infinite start, spinglass's cooling loop would never end.

@@ -7,7 +7,6 @@ from commbench.graph import (
     Graph,
     Partition,
     connected_components,
-    edge_triangle_count,
     quotient_graph,
     read_edge_list,
     read_membership,
@@ -18,7 +17,8 @@ from commbench.graph import (
 from commbench.lfr import LfrConfig, generate
 from commbench.metrics import modularity
 
-from conftest import clique_edges, random_graph
+from conftest import random_graph
+from oracles import communities
 
 
 class TestGraphConstruction:
@@ -84,46 +84,13 @@ class TestGraphConstruction:
 
 class TestDegree:
     def test_triangle_every_node(self, triangle):
-        for v in range(3):
-            assert triangle.degree(v) == 2
+        assert triangle.degrees() == [2, 2, 2]
 
     def test_single_edge(self):
-        g = Graph(2, [(0, 1)])
-        assert g.degree(0) == 1
+        assert Graph(2, [(0, 1)]).degrees() == [1, 1]
 
     def test_isolated_node(self):
-        g = Graph(2, [])
-        assert g.degree(0) == 0
-
-    def test_out_of_range_errors(self, triangle):
-        with pytest.raises(ValueError):
-            triangle.degree(3)
-
-
-class TestEdgeTriangleCount:
-    def test_triangle_edge(self, triangle):
-        assert edge_triangle_count(triangle, 0, 1) == 1
-
-    def test_path_edge_has_no_closure(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        assert edge_triangle_count(g, 0, 1) == 0
-
-    def test_complete_four(self):
-        g = Graph(4, clique_edges(range(4)))
-        for u, v in g.edges:
-            assert edge_triangle_count(g, u, v) == 2
-
-    def test_non_edge_errors(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError, match="not an edge"):
-            edge_triangle_count(g, 0, 2)
-
-    def test_bounded_by_min_degree(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            g = random_graph(rng.randrange(2, 25), rng.random(), rng)
-            for u, v in g.edges:
-                assert edge_triangle_count(g, u, v) <= min(g.degree(u), g.degree(v)) - 1
+        assert Graph(2, []).degrees() == [0, 0]
 
 
 class TestConnectedComponents:
@@ -145,7 +112,7 @@ class TestConnectedComponents:
         part = connected_components(two_triangles)
         # Re-running on the subgraph induced by each component yields one
         # community per component.
-        for nodes in part.communities():
+        for nodes in communities(part):
             idx = {v: i for i, v in enumerate(nodes)}
             sub_edges = [
                 (idx[u], idx[v])
@@ -168,14 +135,14 @@ class TestQuotientGraph:
         q = quotient_graph(bridged_triangles, part)
         assert q.node_count == 2
         assert q.self_loops.tolist() == [6.0, 6.0]
-        assert q.neighbors(0) == [1]
+        assert q.row_view[0] == (1,)
         assert q.weights.tolist() == [1.0, 1.0]
 
     def test_singleton_partition_copies_graph(self, triangle):
         part = Partition([0, 1, 2])
         q = quotient_graph(triangle, part)
         assert q.self_loops.tolist() == [0.0, 0.0, 0.0]
-        assert q.neighbors(0) == [1, 2]
+        assert q.row_view[0] == (1, 2)
         assert q.weights.tolist() == [1.0] * 6
 
     def test_all_in_one(self, bridged_triangles):
@@ -253,11 +220,11 @@ class TestAgainstNetworkx:
         assert g.edge_count == ref.number_of_edges()
         nbrs = g.row_view
         assert type(nbrs) is tuple and len(nbrs) == g.node_count
+        degrees = g.degrees()
         for v in range(g.node_count):
-            assert g.degree(v) == ref.degree(v)
-            assert g.neighbors(v) == sorted(ref.neighbors(v))
+            assert degrees[v] == ref.degree(v)
             assert type(nbrs[v]) is tuple
-            assert list(nbrs[v]) == g.neighbors(v)
+            assert list(nbrs[v]) == sorted(ref.neighbors(v))
         assert g.row_view is g.row_view
 
     def test_rows_and_edges_share_one_int_per_node(self, pair):
@@ -278,12 +245,7 @@ class TestAgainstNetworkx:
         sparse_ref.add_nodes_from(range(g.node_count))
         expected = sorted(sorted(c) for c in nx.connected_components(sparse_ref))
         assert len(expected) > 1
-        assert sorted(connected_components(sparse).communities()) == expected
-
-    def test_edge_triangle_count(self, pair):
-        g, ref = pair
-        for u, v in g.edges:
-            assert edge_triangle_count(g, u, v) == len(set(ref[u]) & set(ref[v]))
+        assert sorted(communities(connected_components(sparse))) == expected
 
     def test_quotient_weights(self, pair):
         g, ref = pair
@@ -301,14 +263,11 @@ class TestAgainstNetworkx:
                 cross[(a, b)] = cross.get((a, b), 0.0) + 1.0
         assert q.self_loops.tolist() == loops
         assert q.edges == sorted(cross)
-        for a, b in q.edges:
-            row = q.neighbors(a)
-            assert q.weights[q.indptr[a] + row.index(b)] == cross[(a, b)]
         nbrs = q.row_view
         for a in range(q.node_count):
-            assert list(nbrs[a]) == q.neighbors(a)
-            row = q.weights[q.indptr[a]:q.indptr[a + 1]].tolist()
-            assert row == [cross[(min(a, b), max(a, b))] for b in nbrs[a]]
+            lo, hi = q.indptr[a], q.indptr[a + 1]
+            assert list(nbrs[a]) == q.indices[lo:hi].tolist()
+            assert q.weights[lo:hi].tolist() == [cross[(min(a, b), max(a, b))] for b in nbrs[a]]
 
 
 class TestPartition:
@@ -328,10 +287,6 @@ class TestPartition:
     def test_sizes_sum_to_node_count(self):
         part = Partition([0, 1, 1, 2, 0])
         assert sum(part.community_sizes) == part.node_count
-
-    def test_communities_listing(self):
-        part = Partition([0, 1, 0])
-        assert part.communities() == [[0, 2], [1]]
 
 
 class TestIO:
@@ -413,3 +368,18 @@ class TestIO:
         path.write_text("0 0\n0 1\n1 0\n")
         with pytest.raises(ValueError, match="twice"):
             read_membership(path)
+
+    @pytest.mark.parametrize("read, text, message", [
+        (read_edge_list, "0 1\n 2 \n", "malformed edge line: '2'"),
+        (read_edge_list, "# header only\n\n", "empty edge list and no node_count given"),
+        (read_membership, "0 0\n1\n", "malformed membership line: '1'"),
+        (read_membership, "# header only\n", "empty membership file"),
+        (read_membership, "0 0\n2 1\n", "membership does not cover 0..n-1"),
+    ], ids=["edge-malformed", "edge-empty", "membership-malformed", "membership-empty",
+            "membership-gap"])
+    def test_reader_refusals(self, tmp_path, read, text, message):
+        path = tmp_path / "pairs.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as refusal:
+            read(path)
+        assert str(refusal.value) == message

@@ -774,11 +774,8 @@ class TestGenerate:
         lo, hi = net.config.min_community, net.config.max_community
         assert all(lo <= s <= hi for s in net.planted.community_sizes)
         assert sum(net.planted.community_sizes) == 5000
-        for v, cid in enumerate(net.planted.membership):
-            assert (
-                internal_stub_count(net.graph.degree(v), config.mu)
-                < net.planted.community_sizes[cid]
-            )
+        for degree, cid in zip(net.graph.degrees(), net.planted.membership):
+            assert internal_stub_count(degree, config.mu) < net.planted.community_sizes[cid]
 
     def test_unhostable_size_draw_is_resampled(self):
         # The first size draw of this sweep unit cannot host every node at
@@ -789,11 +786,8 @@ class TestGenerate:
             seed=seed, allow_mu_beyond_limit=True,
         )
         net = generate(config)
-        for v, cid in enumerate(net.planted.membership):
-            assert (
-                internal_stub_count(net.graph.degree(v), config.mu)
-                < net.planted.community_sizes[cid]
-            )
+        for degree, cid in zip(net.graph.degrees(), net.planted.membership):
+            assert internal_stub_count(degree, config.mu) < net.planted.community_sizes[cid]
 
     @pytest.mark.parametrize("seed, sizes", [(30, (82, 18)), (9, (78, 22))])
     def test_largest_community_grown_after_fifty_redraws(self, monkeypatch, seed, sizes):
@@ -813,8 +807,8 @@ class TestGenerate:
         )
         net = generate(config)
         assert net.planted.community_sizes == sizes
-        for v, cid in enumerate(net.planted.membership):
-            assert internal_stub_count(net.graph.degree(v), config.mu) < sizes[cid]
+        for degree, cid in zip(net.graph.degrees(), net.planted.membership):
+            assert internal_stub_count(degree, config.mu) < sizes[cid]
         assert len(grown) == 1
 
     def test_reproduces_pinned_networks(self):

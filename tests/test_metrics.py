@@ -20,6 +20,7 @@ from commbench.metrics import (
 from conftest import random_graph
 from oracles import (
     all_partitions,
+    communities,
     confusion_direct,
     modularity_direct,
     nmi_direct,
@@ -198,7 +199,7 @@ class TestModularity:
                 for k in (2, 7, 40)
             ]
             for part in parts:
-                expected = nx.community.modularity(nx_graph, [set(c) for c in part.communities()])
+                expected = nx.community.modularity(nx_graph, [set(c) for c in communities(part)])
                 assert modularity(net.graph, part) == pytest.approx(expected, abs=1e-12)
 
 
